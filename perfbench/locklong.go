@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"sprwl"
 	"sprwl/internal/core"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
@@ -20,29 +19,17 @@ const (
 	llGroup     = 4 // words a write stamps alike; a line holds two groups
 	llReadCS    = 0
 	llWriteCS   = 1
+	llNumCS     = 16 // sprwl.New's default
 )
 
 // A write stamps all four words of one group with owner<<48 | seq and sets
 // the owner's counter word to seq, in the same section.
 const llSeqBits = 48
 
-// section is the critical-section API both lock-long stacks expose: the
-// public sprwl facade, or the same stack built over the tracer.
-type section interface {
-	Read(csID int, body func(memmodel.Accessor))
-	Write(csID int, body func(memmodel.Accessor))
-}
-
-// coreSection adapts a core handle to section.
-type coreSection struct{ h rwlock.Handle }
-
-func (c coreSection) Read(csID int, body func(memmodel.Accessor))  { c.h.Read(csID, body) }
-func (c coreSection) Write(csID int, body func(memmodel.Accessor)) { c.h.Write(csID, body) }
-
 // lockLong is one lock over a 4096-line region plus one counter line per
 // worker.
 type lockLong struct {
-	handle   func(slot int) section
+	lock     *core.Lock
 	mem      memmodel.Space // direct view for the end-of-run sweep
 	region   memmodel.Addr
 	counters [numWorkers]memmodel.Addr
@@ -51,34 +38,28 @@ type lockLong struct {
 	l      *layers
 }
 
+// setupLockLong builds the lock as sprwl.New does for a Broadwell
+// Config (capacity profile, default options, llNumCS estimator slots), but
+// over the environment and stats pipeline that l hands out, so the traced
+// and untraced runs build the same stack.
 func setupLockLong(l *layers) (*lockLong, error) {
-	words := sprwl.MinWords(numWorkers) + (llLines+numWorkers)*memmodel.LineWords
-	s := &lockLong{l: l}
-	var ar *memmodel.Arena
-	if !l.traced {
-		lk, err := sprwl.New(sprwl.Config{Threads: numWorkers, Words: words, Machine: sprwl.Broadwell()})
-		if err != nil {
-			return nil, err
-		}
-		s.handle = func(slot int) section { return lk.Handle(slot) }
-		s.mem, ar = lk.Provision(), lk.Arena()
-	} else {
-		// The facade's construction, over the tracer.
-		rCap, wCap := htm.Broadwell().EffectiveCapacity(numWorkers)
-		space, err := htm.NewSpace(htm.Config{Threads: numWorkers, Words: words, ReadCapacityLines: rCap, WriteCapacityLines: wCap})
-		if err != nil {
-			return nil, err
-		}
-		e, pipe := l.wrap(htm.NewRuntime(space, nil))
-		ar = memmodel.NewArena(0, space.Size())
-		lk, err := core.New(e, ar, numWorkers, 16, core.DefaultOptions(), pipe)
-		if err != nil {
-			return nil, err
-		}
-		s.handle = func(slot int) section { return coreSection{lk.NewHandle(slot)} }
-		s.mem = space
+	rCap, wCap := htm.Broadwell().EffectiveCapacity(numWorkers)
+	space, err := htm.NewSpace(htm.Config{
+		Threads:            numWorkers,
+		Words:              core.Words(numWorkers) + (llLines+numWorkers)*memmodel.LineWords,
+		ReadCapacityLines:  rCap,
+		WriteCapacityLines: wCap,
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.region = ar.AllocLines(llLines)
+	e, pipe := l.wrap(htm.NewRuntime(space, nil))
+	ar := memmodel.NewArena(0, space.Size())
+	lk, err := core.New(e, ar, numWorkers, llNumCS, core.DefaultOptions(), pipe)
+	if err != nil {
+		return nil, err
+	}
+	s := &lockLong{lock: lk, mem: space, l: l, region: ar.AllocLines(llLines)}
 	for w := range s.counters {
 		s.counters[w] = ar.AllocLines(1)
 	}
@@ -88,7 +69,7 @@ func setupLockLong(l *layers) (*lockLong, error) {
 var _ store = (*lockLong)(nil)
 
 func (s *lockLong) newWorker(w int, seed uint64) worker {
-	k := &llWorker{s: s, w: w, h: s.handle(w), rng: rand.New(rand.NewPCG(seed, 0x10c+uint64(w)))}
+	k := &llWorker{s: s, w: w, h: s.lock.NewHandle(w), rng: rand.New(rand.NewPCG(seed, 0x10c+uint64(w)))}
 	k.readBody = k.read
 	k.writeBody = k.write
 	return k
@@ -100,7 +81,7 @@ func (s *lockLong) newWorker(w int, seed uint64) worker {
 type llWorker struct {
 	s   *lockLong
 	w   int
-	h   section
+	h   rwlock.Handle
 	rng *rand.Rand
 
 	op    opClass

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
@@ -69,29 +68,29 @@ type store interface {
 
 // spec describes one workload.
 type spec struct {
-	classes []opClass // op classes it issues
-	setups  int       // set-ups per run; setup_s is their median
-	build   func(l *layers) (store, error)
+	classes   []opClass // op classes it issues
+	setupsPer int       // set-ups per batch; see setUp
+	build     func(l *layers) (store, error)
 }
 
 var workloads = map[string]spec{
 	"kv-point": {
-		classes: []opClass{classRead, classWrite},
-		setups:  7,
+		classes:   []opClass{classRead, classWrite},
+		setupsPer: 4,
 		build: func(l *layers) (store, error) {
 			return setupKV(kvMix{}, l)
 		},
 	},
 	"kv-mixed": {
-		classes: []opClass{classRead, classWrite, classScan, classMulti},
-		setups:  7,
+		classes:   []opClass{classRead, classWrite, classScan, classMulti},
+		setupsPer: 4,
 		build: func(l *layers) (store, error) {
 			return setupKV(kvMix{zipf: 0.99, scanPct: 1, multiPct: 2}, l)
 		},
 	},
 	"lock-long": {
-		classes: []opClass{classRead, classWrite},
-		setups:  51,
+		classes:   []opClass{classRead, classWrite},
+		setupsPer: 40,
 		build: func(l *layers) (store, error) {
 			return setupLockLong(l)
 		},
@@ -104,7 +103,8 @@ var epoch = time.Now()
 func nanotime() int64 { return int64(time.Since(epoch)) }
 
 // layers selects how a stack is built: over the runtime directly, or over
-// the tracer with a stats pipeline attached.
+// the tracer. Both get a stats pipeline, so the two stacks differ only in
+// the tracer.
 type layers struct {
 	traced bool
 	tr     *tracer
@@ -114,11 +114,11 @@ type layers struct {
 // wrap returns the environment and observability pipeline a stack over rt
 // should be built with.
 func (l *layers) wrap(rt *htm.Runtime) (env.Env, *obs.Pipeline) {
+	l.col = stats.NewCollector(numWorkers)
 	if !l.traced {
-		return rt, nil
+		return rt, l.col.Pipeline()
 	}
 	l.tr = newTracer(rt)
-	l.col = stats.NewCollector(numWorkers)
 	return l.tr, l.col.Pipeline()
 }
 
@@ -147,6 +147,11 @@ type phase struct {
 	failed  uint64
 	first   error
 	workers []worker
+
+	// Counted over the ops of the phase, warm-up included, but not over
+	// the set-up before them or the sweep after them.
+	layer   layerTotals    // traced phases only
+	commits stats.Snapshot // commits only
 }
 
 // midMean returns the mean of f over the middle half of the intervals.
@@ -189,10 +194,10 @@ func (p *phase) quantile(c opClass, q float64) (float64, uint64) {
 	return p.midMean(func(iv *interval) float64 { return iv.hist[c].quantile(q) }), n
 }
 
-// runPhase drives st with numWorkers closed-loop clients for warm + dur,
-// recording latencies only for ops that start after the warm-up, then
-// sweeps the final state.
-func runPhase(st store, seed uint64, warm, dur time.Duration, tr *tracer) *phase {
+// runPhase drives st, built over l, with numWorkers closed-loop clients for
+// warm + dur, recording latencies only for ops that start after the
+// warm-up, then sweeps the final state.
+func runPhase(st store, l *layers, seed uint64, warm, dur time.Duration) *phase {
 	p := &phase{window: dur}
 	type result struct {
 		iv              [intervals]interval
@@ -205,6 +210,11 @@ func runPhase(st store, seed uint64, warm, dur time.Duration, tr *tracer) *phase
 	for w := range p.workers {
 		p.workers[w] = st.newWorker(w, seed)
 	}
+	tr := l.tr
+	if tr != nil {
+		tr.reset()
+	}
+	base := l.col.Snapshot()
 	start := nanotime()
 	measure := start + int64(warm)
 	end := measure + int64(dur)
@@ -249,6 +259,10 @@ func runPhase(st store, seed uint64, warm, dur time.Duration, tr *tracer) *phase
 	runtime.ReadMemStats(&ms)
 	p.allocs = ms.Mallocs - mallocs
 	wg.Wait()
+	if tr != nil {
+		p.layer = tr.totals()
+	}
+	p.commits = since(l.col.Snapshot(), base)
 
 	for w := range res {
 		r := &res[w]
@@ -273,6 +287,17 @@ func runPhase(st store, seed uint64, warm, dur time.Duration, tr *tracer) *phase
 		p.first = first
 	}
 	return p
+}
+
+// since returns the commits counted in s but not yet in base.
+func since(s, base stats.Snapshot) stats.Snapshot {
+	var d stats.Snapshot
+	for k := range s.Commits {
+		for m := range s.Commits[k] {
+			d.Commits[k][m] = s.Commits[k][m] - base.Commits[k][m]
+		}
+	}
+	return d
 }
 
 // metric is one reported value.
@@ -370,26 +395,36 @@ func run() int {
 	return 0
 }
 
-// setUp builds the workload n times and returns the last stack and the
-// median build time in seconds. Earlier stacks are dropped and collected
-// before the next build starts.
-func setUp(sp spec, n int, l *layers) (store, float64, error) {
+// setupBatches is how many batches of set-ups an untraced run times.
+const setupBatches = 5
+
+// setUp builds the workload batches×per times and returns the last stack
+// and its set-up time in seconds: the median, over the batches, of each
+// batch's fastest build. Set-up is fixed work, so a slower build was slowed
+// by the host (another tenant, or pages the Go scavenger returned to the OS
+// and the build faulted back in); the batch minimum drops those, and the
+// median keeps one lucky build from setting the figure.
+func setUp(sp spec, batches, per int, l *layers) (store, float64, error) {
 	var st store
-	times := make([]float64, n)
-	for i := range times {
-		// Collect the previous stack and hand its memory back to the
-		// OS, so every set-up starts from the same cold heap, as a
-		// fresh process would.
-		st = nil
-		debug.FreeOSMemory()
-		t0 := nanotime()
-		var err error
-		if st, err = sp.build(l); err != nil {
-			return nil, 0, err
+	fastest := make([]float64, batches)
+	for b := range fastest {
+		for i := 0; i < per; i++ {
+			// Collect the previous stack but keep its pages mapped:
+			// a build that first has to fault in fresh heap times the
+			// host's page faults more than its own work.
+			st = nil
+			runtime.GC()
+			t0 := nanotime()
+			var err error
+			if st, err = sp.build(l); err != nil {
+				return nil, 0, err
+			}
+			if t := float64(nanotime()-t0) / 1e9; i == 0 || t < fastest[b] {
+				fastest[b] = t
+			}
 		}
-		times[i] = float64(nanotime()-t0) / 1e9
 	}
-	return st, median(times), nil
+	return st, median(fastest), nil
 }
 
 // median returns the middle value of v (the upper one for even lengths).
@@ -408,12 +443,13 @@ func heapMB() float64 {
 
 // endToEnd is the untraced run: every end-to-end metric.
 func endToEnd(sp spec, seed uint64, warm, dur time.Duration) (report, error) {
-	st, setupS, err := setUp(sp, sp.setups, &layers{})
+	l := &layers{}
+	st, setupS, err := setUp(sp, setupBatches, sp.setupsPer, l)
 	if err != nil {
 		return report{}, err
 	}
 	heap := heapMB()
-	p := runPhase(st, seed, warm, dur, nil)
+	p := runPhase(st, l, seed, warm, dur)
 
 	ms := []metric{{name: "throughput_ops_s", value: p.throughput(), unit: "1/s",
 		note: fmt.Sprintf("%d ops in %v, 2 closed-loop clients", p.windowOps(), dur)}}
@@ -432,7 +468,8 @@ func endToEnd(sp spec, seed uint64, warm, dur time.Duration) (report, error) {
 		}
 	}
 	ms = append(ms,
-		metric{name: "setup_s", value: setupS, unit: "s", note: fmt.Sprintf("median of %d set-ups", sp.setups)},
+		metric{name: "setup_s", value: setupS, unit: "s",
+			note: fmt.Sprintf("median over %d batches of the fastest of %d set-ups", setupBatches, sp.setupsPer)},
 		metric{name: "heap_mb", value: heap, unit: "MB", note: "Go heap after set-up and a GC"},
 		metric{name: "error_rate", value: float64(p.failed) / float64(p.checked), unit: "ratio",
 			note: fmt.Sprintf("%d of %d checks failed", p.failed, p.checked), reportOnly: true},

@@ -16,26 +16,27 @@ import (
 // the traced run takes about as long as an untraced one.
 func perLayer(name string, sp spec, seed uint64, warm, dur time.Duration, spansPath string) (report, error) {
 	dur /= 2
-	st, _, err := setUp(sp, 1, &layers{})
+	l := &layers{}
+	st, _, err := setUp(sp, 1, 1, l)
 	if err != nil {
 		return report{}, err
 	}
-	plain := runPhase(st, seed, warm, dur, nil)
+	plain := runPhase(st, l, seed, warm, dur)
 	st, plain.workers = nil, nil
 
-	l := &layers{traced: true}
-	st, _, err = setUp(sp, 1, l)
+	l = &layers{traced: true}
+	st, _, err = setUp(sp, 1, 1, l)
 	if err != nil {
 		return report{}, err
 	}
-	traced := runPhase(st, seed, warm, dur, l.tr)
+	traced := runPhase(st, l, seed, warm, dur)
 	if spansPath != "" {
 		if err := l.tr.writeSpans(spansPath, name, seed); err != nil {
 			return report{}, err
 		}
 	}
 
-	ms := layerMetrics(traced, l, st)
+	ms := layerMetrics(traced, st)
 	ms = append(ms,
 		metric{name: "go.allocs_per_op", value: float64(plain.allocs) / float64(plain.windowOps()), unit: "count",
 			note: fmt.Sprintf("untraced, %d ops", plain.windowOps())},
@@ -53,9 +54,9 @@ func perLayer(name string, sp spec, seed uint64, warm, dur time.Duration, spansP
 
 // layerMetrics turns the tracer's counts and the stats pipeline's commit
 // modes into per-op figures. Every count covers all ops of the traced phase,
-// warm-up included.
-func layerMetrics(p *phase, l *layers, st store) []metric {
-	t := l.tr.totals()
+// warm-up included, and nothing else.
+func layerMetrics(p *phase, st store) []metric {
+	t, snap := &p.layer, &p.commits
 	ops := float64(p.ops)
 	perOp := func(v float64) float64 { return v / ops }
 	ratio := func(a, b float64) float64 {
@@ -64,7 +65,6 @@ func layerMetrics(p *phase, l *layers, st store) []metric {
 		}
 		return a / b
 	}
-	snap := l.col.Snapshot()
 
 	// Owned bodies exist on lock-long only; elsewhere body runs are
 	// inferred: every attempt runs the body once, and so does every

@@ -79,15 +79,19 @@ var (
 	_ park.Provider = (*tracer)(nil)
 )
 
+// slotCounts is one worker slot's share of the Attempt counters.
+type slotCounts struct {
+	attempts, commits      uint64
+	aborts                 [env.NumAbortCauses]uint64
+	attemptNs, bodyNs      uint64
+	txLoads, wastedTxLoads uint64
+}
+
 // slotTrace is one worker slot's record. Only that worker's goroutine
 // writes it while the phase runs.
 type slotTrace struct {
-	attempts, commits uint64
-	aborts            [env.NumAbortCauses]uint64
-	attemptNs, bodyNs uint64
-	txLoads           uint64
-	wastedTxLoads     uint64
-	attemptLoads      uint64 // tx loads of the attempt in progress
+	slotCounts
+	attemptLoads uint64 // tx loads of the attempt in progress
 
 	opID    uint64 // op span ID of the op in progress
 	sampled bool
@@ -132,11 +136,13 @@ func (t *tracer) beginOp(slot int, seq uint64) {
 	st.sampled = seq%spanSampleEvery == 0
 }
 
-// endOp records the op span of a sampled op.
+// endOp records the op span of a sampled op. Sampling stops until the
+// next beginOp, so calls between ops (the end-of-run sweep) leave no spans.
 func (t *tracer) endOp(slot int, name string, start, end int64) {
 	st := &t.slots[slot]
 	if st.sampled {
 		st.spans = append(st.spans, span{Name: name, ID: st.opID, Slot: slot, Start: start, End: end})
+		st.sampled = false
 	}
 }
 
@@ -280,15 +286,23 @@ func (x *txTrace) Abort(cause env.AbortCause) { x.inner.Abort(cause) }
 func (x *txTrace) Aborted() bool              { return x.inner.Aborted() }
 func (x *txTrace) Suspend(fn func()) bool     { return x.inner.Suspend(fn) }
 
-// layerTotals sums the tracer's counters once the workers have joined.
-type layerTotals struct {
-	pCounts
-	attempts, commits      uint64
-	aborts                 [env.NumAbortCauses]uint64
-	attemptNs, bodyNs      uint64
-	txLoads, wastedTxLoads uint64
+// reset zeroes every counter, so that totals covers only the calls made
+// after it: the phase's ops, not the set-up before them.
+func (t *tracer) reset() {
+	clear(t.perP)
+	for i := range t.slots {
+		t.slots[i].slotCounts = slotCounts{}
+	}
 }
 
+// layerTotals is the sum of the tracer's counters.
+type layerTotals struct {
+	pCounts
+	slotCounts
+}
+
+// totals sums the counters since the last reset. It must run while no
+// worker is calling the tracer.
 func (t *tracer) totals() layerTotals {
 	var s layerTotals
 	for i := range t.perP {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"testing"
+	"time"
 
 	"sprwl/internal/env"
 )
@@ -40,5 +41,33 @@ func TestTracedLockLongRegime(t *testing.T) {
 	}
 	if tot.txLoads == 0 || tot.wastedTxLoads != tot.txLoads {
 		t.Errorf("tx loads %d, wasted %d: every attempt aborted, so all are wasted", tot.txLoads, tot.wastedTxLoads)
+	}
+}
+
+// TestTracedPhaseCountsOnlyItsOps runs a short traced kv-point phase. Its
+// counts must cover the phase's ops and nothing else: not the populate
+// step of set-up, which stores every key through the tracer, and not the
+// end-of-run sweep, which reads every key through it.
+func TestTracedPhaseCountsOnlyItsOps(t *testing.T) {
+	l := &layers{traced: true}
+	s, err := setupKV(kvMix{}, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := runPhase(s, l, 1, 0, 100*time.Millisecond)
+	if p.failed != 0 {
+		t.Fatalf("%d failed checks; first %v", p.failed, p.first)
+	}
+	if p.ops == 0 || p.ops >= kvItems {
+		t.Fatalf("%d ops: the test needs fewer ops than the sweep's %d reads", p.ops, kvItems)
+	}
+	if got := p.commits.TotalOps(); got != p.ops {
+		t.Errorf("stats pipeline counted %d sections over %d ops", got, p.ops)
+	}
+	if a := p.layer.attempts; a < p.ops || a > p.ops+p.ops/10 {
+		t.Errorf("%d hardware attempts over %d all-HTM ops", a, p.ops)
+	}
+	if st := uint64(p.layer.stores); st > p.ops {
+		t.Errorf("%d uninstrumented stores over %d all-HTM ops", st, p.ops)
 	}
 }
