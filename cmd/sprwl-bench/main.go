@@ -236,7 +236,8 @@ func runTrace(path string, waitprof bool, mode, algo string, threads int, p htm.
 }
 
 // runCompare regression-diffs two -json report files and exits non-zero on
-// any throughput regression beyond the threshold.
+// any throughput regression beyond the threshold, or on a point missing from
+// an experiment the new file contains.
 func runCompare(oldPath, newPath, thresholdSpec string) error {
 	th, err := parseThreshold(thresholdSpec)
 	if err != nil {
@@ -265,7 +266,7 @@ func runCompare(oldPath, newPath, thresholdSpec string) error {
 	cmp := harness.CompareReports(oldReports, newReports, th)
 	cmp.Format(os.Stdout)
 	if !cmp.OK() {
-		return fmt.Errorf("%d point(s) regressed beyond %.1f%% (%s -> %s)", len(cmp.Regressions), 100*th, oldPath, newPath)
+		return fmt.Errorf("%d point(s) regressed beyond %.1f%%, %d point(s) missing (%s -> %s)", len(cmp.Regressions), 100*th, len(cmp.Missing), oldPath, newPath)
 	}
 	return nil
 }

@@ -3,9 +3,8 @@
 // (fenceorder, doomedread). The protocol invariants those analyzers check
 // are happens-before properties — "the reader flag store precedes the
 // first simulated-memory read on every path" — and statement order within
-// one block (what the straight-line releaseorder analyzer inspects) cannot
-// see orderings that differ across branches, loop back-edges, or early
-// returns. A CFG can.
+// one block cannot see orderings that differ across branches, loop
+// back-edges, or early returns. A CFG can.
 //
 // Shape of the graph:
 //

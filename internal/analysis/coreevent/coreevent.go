@@ -6,10 +6,9 @@
 // works both on internal/core itself and on reduced analyzer test
 // fixtures that mirror its shapes.
 //
-// It is shared by the straight-line releaseorder analyzer and the
-// flow-sensitive fenceorder analyzer: both must agree on what counts as a
-// flag, a retract, an advertise, or a registration, or the two checkers
-// would drift apart and disagree about the same source line.
+// The fenceorder analyzer runs its path rules over these events; keeping
+// the classifier separate keeps what counts as a flag, a retract, an
+// advertise, or a registration in one place.
 package coreevent
 
 import (

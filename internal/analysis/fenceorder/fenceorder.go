@@ -1,13 +1,14 @@
-// Package fenceorder is the flow-sensitive companion to releaseorder: it
-// checks the same SpRWL core-protocol fence points, but over the control
-// flow graph instead of source order, so violations that only exist on SOME
-// execution path — an early return that skips the retract, a conditional
-// that bypasses the clockW store, a loop that re-runs the body after
-// unflagging — are caught even when every individual straight-line slice of
-// the function looks correctly ordered.
+// Package fenceorder checks the documented fence points of the SpRWL core
+// protocol (package internal/core) over the control flow graph, so
+// violations that only exist on SOME execution path — an early return that
+// skips the retract, a conditional that bypasses the clockW store, a loop
+// that re-runs the body after unflagging — are caught even when every
+// individual straight-line slice of the function looks correctly ordered.
+// A violation in plain source order is wrong on every path, so it is
+// caught too.
 //
-// Per function (declarations and each function literal separately), five
-// rules run over coreevent-classified calls:
+// Per function (declarations and each function literal separately), seven
+// path rules run over coreevent-classified calls:
 //
 //   - F1 (may-forward): no path may reach a critical-section body
 //     invocation with the reader flag already retracted — re-running the
@@ -43,6 +44,14 @@
 //     already hold the waiter's target value, and the wake that announced
 //     it has already been consumed.
 //
+// One more rule needs no CFG:
+//
+//   - E: core makes no package-level sync/atomic calls. Protocol state
+//     lives in simulated memory behind env.Env, which is seq-cst by
+//     contract; a direct atomic on Go-side memory bypasses the simulated
+//     model and the instrumentation. Typed atomic.Uint64-style method
+//     calls on auxiliary Go-side state are fine and are not matched.
+//
 // F2/F3/F5 are scoped to functions that contain the establishing event at
 // all, so helpers that only perform one half of a handshake (finishWrite's
 // stateEmpty store, checkForReaders' state loads) are not false positives.
@@ -72,7 +81,7 @@ import (
 // Analyzer is the fenceorder check.
 var Analyzer = &driver.Analyzer{
 	Name: "fenceorder",
-	Doc:  "flow-sensitive fence ordering of the core protocol: flag/retract, clockW/stateWriter, and lazy-subscription validation on every CFG path",
+	Doc:  "flow-sensitive fence ordering of the core protocol: flag/retract, clockW/stateWriter, and lazy-subscription validation on every CFG path; no raw sync/atomic calls in core",
 	Run:  run,
 }
 
@@ -113,8 +122,8 @@ func checkedBit(fam coreevent.Family) (int, bool) {
 }
 
 func run(pass *driver.Pass) error {
-	// Like releaseorder, the invariants are properties of the core
-	// implementation package and of fixtures mirroring it.
+	// The invariants are properties of the core implementation package
+	// and of fixtures mirroring it.
 	if pass.Pkg.Name != "core" {
 		return nil
 	}
@@ -131,6 +140,11 @@ func run(pass *driver.Pass) error {
 				// closures, deferred cleanups); cfg.Walk keeps its events
 				// out of the enclosing function's analysis.
 				checkBody(pass, info, fn.Body)
+			case *ast.CallExpr:
+				// Rule E: no raw sync/atomic in core.
+				if ev, ok := coreevent.Classify(info, fn); ok && ev.Kind == coreevent.Atomic {
+					pass.Reportf(ev.Pos, "fence order: direct sync/atomic call %s in core bypasses the simulated memory model; protocol state must use the env Load/Store/CAS/Add API", ev.Name)
+				}
 			}
 			return true
 		})

@@ -1,9 +1,10 @@
 // Package core mirrors the shape of the real internal/core protocol code
 // so the flow-sensitive fenceorder analyzer can be exercised on reduced
-// functions. Every bad* function here is ordered correctly in SOURCE order
-// — the straight-line releaseorder rules accept all of them — and violates
-// a fence only on some CFG path, which is exactly the gap fenceorder
-// closes. The analyzer gates on the package name "core".
+// functions. Every bad* function in this file is ordered correctly in
+// SOURCE order and violates a fence only on some CFG path, which is the
+// case a source-order check misses; straight.go and writer.go hold the
+// plain source-order violations. The analyzer gates on the package name
+// "core".
 package core
 
 import (

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"sprwl/internal/core"
 )
 
 // Shipped model configurations. Each closes the real, extracted protocol
@@ -50,7 +52,7 @@ const (
 // paths read need values.
 type coreOptions struct {
 	ReaderSync, JoinWaiters, WriterSync, ReaderHTMFirst bool
-	UseSNZI, UseBravo, AutoSNZI                         bool
+	ReaderTracking                                      core.ReaderTracking
 	TimedReaderWait, VersionedSGL                       bool
 	MaxRetries, ReaderRetries                           int
 }
@@ -102,9 +104,7 @@ func (b *binder) optsObj() *object {
 		"JoinWaiters":     boolConst(o.JoinWaiters),
 		"WriterSync":      boolConst(o.WriterSync),
 		"ReaderHTMFirst":  boolConst(o.ReaderHTMFirst),
-		"UseSNZI":         boolConst(o.UseSNZI),
-		"UseBravo":        boolConst(o.UseBravo),
-		"AutoSNZI":        boolConst(o.AutoSNZI),
+		"ReaderTracking":  intConst(int(o.ReaderTracking)),
 		"TimedReaderWait": boolConst(o.TimedReaderWait),
 		"VersionedSGL":    boolConst(o.VersionedSGL),
 		"MaxRetries":      intConst(o.MaxRetries),
@@ -390,7 +390,7 @@ func buildRSync2R1W(ex *extractor, tm *threadMut) (*Model, error) {
 
 func buildBravo1R1W(ex *extractor, tm *threadMut) (*Model, error) {
 	b := &binder{threads: 2, parker: true, bravo: true, opts: coreOptions{
-		UseBravo: true, MaxRetries: 1,
+		ReaderTracking: core.TrackBravo, MaxRetries: 1,
 	}}
 	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
 	if err != nil {

@@ -778,9 +778,9 @@ func (f *frame) lowerSwitch(st *ast.SwitchStmt) (bool, error) {
 // staticSwitchArm picks the clause a constant switch selects, or reports
 // that the switch needs runtime lowering. Case expressions are evaluated
 // speculatively: a value that folds to a constant without emitting any
-// instruction (package constants, but also bound option fields like
-// l.opts.UseBravo, which the type checker does not see as constant) keeps
-// the switch static; anything else rolls the trial back.
+// instruction (package constants like TrackBravo, but also bound option
+// fields like l.opts.VersionedSGL, which the type checker does not see as
+// constant) keeps the switch static; anything else rolls the trial back.
 func (f *frame) staticSwitchArm(st *ast.SwitchStmt, tag *absVal, clauses []*ast.CaseClause) (*ast.CaseClause, bool, error) {
 	var tagC uint64
 	if tag != nil {

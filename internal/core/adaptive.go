@@ -12,9 +12,9 @@ import (
 // Self-tuning reader tracking (the paper's §5 future-work item): Fig. 6
 // shows SNZI tracking wins by up to ~6× for long readers and loses by up to
 // ~6× for short ones, and the authors propose automatically enabling and
-// disabling it. With Options.AutoSNZI the lock measures reader durations
-// and switches the *tracking structure* at runtime, promoting and demoting
-// across all three backends of package readers:
+// disabling it. With ReaderTracking set to TrackAuto the lock measures
+// reader durations and switches the *tracking structure* at runtime,
+// promoting and demoting across all three backends of package readers:
 //
 //	FLAGS  — cheapest arrival (one store), O(threads) commit check;
 //	BRAVO  — one-CAS arrival, O(table slots) commit check, and the only
@@ -219,12 +219,12 @@ func (h *handle) drainBackend(s uint64) {
 // trackingMode returns the current reader-tracking mode for this lock
 // configuration (static modes never read simulated memory).
 func (l *Lock) trackingMode() uint64 {
-	switch {
-	case l.opts.AutoSNZI:
+	switch l.opts.ReaderTracking {
+	case TrackAuto:
 		return l.e.Load(l.trackMode)
-	case l.opts.UseBravo:
+	case TrackBravo:
 		return backendBravo
-	case l.opts.UseSNZI:
+	case TrackSNZI:
 		return backendSNZI
 	default:
 		return backendFlags
@@ -266,7 +266,7 @@ func (h *handle) departFrom(s uint64) {
 	}
 }
 
-// checkForReadersAdaptive is the commit-time check under AutoSNZI: read the
+// checkForReadersAdaptive is the commit-time check under TrackAuto: read the
 // mode (one stable line in the read set) and check the structure(s) it
 // covers.
 func (h *handle) checkForReadersAdaptive(tx env.TxAccessor) {

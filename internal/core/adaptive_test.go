@@ -208,7 +208,7 @@ func TestAutoSnapshotConsistencyUnderSwitching(t *testing.T) {
 	_ = e
 }
 
-// TestStaticModesIgnoreModeWord: without AutoSNZI the tracking choice is
+// TestStaticModesIgnoreModeWord: without TrackAuto the tracking choice is
 // fixed by options, even if the mode word is scribbled on.
 func TestStaticModesIgnoreModeWord(t *testing.T) {
 	opts := DefaultOptions()

@@ -68,35 +68,18 @@ type Options struct {
 	// plain lock elision when readers fit in hardware.
 	ReaderHTMFirst bool
 
-	// UseSNZI tracks readers with a Scalable NonZero Indicator instead
-	// of the per-thread state array, making the writer's commit-time
-	// check a single-line read (§3.4, Fig. 6).
-	UseSNZI bool
-
-	// UseBravo tracks readers with a BRAVO-style sharded visible-readers
-	// table (package readers): arrivals hash into cache-line-padded
-	// slots, so the writer's commit-time check scans O(table slots)
-	// lines instead of one word per registered thread, and slot-less
-	// dynamic handles (NewDynamicHandle) become possible. Overrides
-	// UseSNZI.
-	UseBravo bool
+	// ReaderTracking selects the structure readers publish themselves
+	// in, which is what the writer's commit-time check reads (§3.4,
+	// Fig. 6). The zero value is the per-thread flag array.
+	ReaderTracking ReaderTracking
 
 	// BravoSlots overrides the BRAVO table size (rounded to a power of
 	// two in [4, 256]); 0 derives it from runtime.GOMAXPROCS.
 	// Deterministic runs (the simulator harness) must pin it.
 	BravoSlots int
 
-	// AutoSNZI enables the paper's §5 future-work self-tuning: the lock
-	// measures reader durations and switches reader tracking at runtime
-	// between the flag array (cheapest readers), the BRAVO table
-	// (cheap readers, bounded writer checks, dynamic-safe), and SNZI
-	// (cheapest writer checks), using a transition protocol that keeps
-	// every active reader visible to writers throughout. Overrides
-	// UseBravo and UseSNZI.
-	AutoSNZI bool
-
 	// AutoSNZIThreshold is the reader duration (cycles) above which
-	// AutoSNZI selects SNZI tracking; 0 selects
+	// TrackAuto selects SNZI tracking; 0 selects
 	// DefaultAutoSNZIThreshold.
 	AutoSNZIThreshold uint64
 
@@ -119,6 +102,34 @@ type Options struct {
 	// ReaderHTMFirst is enabled; capacity aborts fall back immediately.
 	ReaderRetries int
 }
+
+// ReaderTracking names a reader-tracking structure (package readers).
+type ReaderTracking int
+
+const (
+	// TrackFlags is the per-thread state array of Alg. 1: one store per
+	// arrival, one word per registered thread in the writer's check.
+	TrackFlags ReaderTracking = iota
+
+	// TrackSNZI is a Scalable NonZero Indicator: O(log n) arrivals, and
+	// the writer's check is a single-line read (§3.4, Fig. 6).
+	TrackSNZI
+
+	// TrackBravo is a BRAVO-style sharded visible-readers table:
+	// arrivals hash into cache-line-padded slots, so the writer's check
+	// scans O(table slots) lines instead of one word per registered
+	// thread, and slot-less dynamic handles (NewDynamicHandle) become
+	// possible.
+	TrackBravo
+
+	// TrackAuto is the paper's §5 future-work self-tuning: the lock
+	// measures reader durations and switches at runtime between the
+	// flag array (cheapest readers), the BRAVO table (cheap readers,
+	// bounded writer checks, dynamic-safe) and SNZI (cheapest writer
+	// checks), using a transition protocol that keeps every active
+	// reader visible to writers throughout.
+	TrackAuto
+)
 
 // DefaultOptions returns the full SpRWL configuration the paper evaluates
 // under the name "SpRWL": both scheduling schemes, HTM-first readers, timed
@@ -167,7 +178,7 @@ func RSyncOptions() Options {
 // "SNZI" series of Figs. 6 and 7).
 func SNZIOptions() Options {
 	o := DefaultOptions()
-	o.UseSNZI = true
+	o.ReaderTracking = TrackSNZI
 	return o
 }
 
@@ -176,7 +187,7 @@ func SNZIOptions() Options {
 // handles.
 func BravoOptions() Options {
 	o := DefaultOptions()
-	o.UseBravo = true
+	o.ReaderTracking = TrackBravo
 	return o
 }
 
@@ -184,7 +195,7 @@ func BravoOptions() Options {
 // switches between flags and SNZI based on measured reader durations.
 func AutoSNZIOptions() Options {
 	o := DefaultOptions()
-	o.AutoSNZI = true
+	o.ReaderTracking = TrackAuto
 	return o
 }
 
@@ -219,7 +230,7 @@ type Lock struct {
 	// The three reader-indicator backends (package readers). indFlags
 	// wraps the state array and indSNZI wraps z, so the simulated
 	// memory traffic of the classic configurations is unchanged;
-	// indBravo is allocated only when UseBravo or AutoSNZI asks for it.
+	// indBravo is allocated only under TrackBravo and TrackAuto.
 	indFlags readers.Flags
 	indSNZI  readers.SNZI
 	indBravo *readers.Bravo
@@ -249,7 +260,8 @@ func Words(threads int) int {
 // given options.
 func WordsFor(threads int, opts Options) int {
 	w := Words(threads)
-	if opts.UseBravo || opts.AutoSNZI {
+	switch opts.ReaderTracking {
+	case TrackBravo, TrackAuto:
 		w += readers.BravoWords(bravoSlotCount(opts))
 	}
 	return w
@@ -278,6 +290,9 @@ func New(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pipe *
 	}
 	if threads > e.Threads() {
 		return nil, fmt.Errorf("core: %d threads exceed environment capacity %d", threads, e.Threads())
+	}
+	if opts.ReaderTracking < TrackFlags || opts.ReaderTracking > TrackAuto {
+		return nil, fmt.Errorf("core: unknown reader tracking %d", opts.ReaderTracking)
 	}
 	if opts.MaxRetries < 1 {
 		opts.MaxRetries = 1
@@ -312,7 +327,8 @@ func New(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pipe *
 	// configurations without it keep their exact arena layout.
 	l.indFlags = readers.NewFlags(e, l.state, threads)
 	l.indSNZI = readers.NewSNZI(l.z)
-	if l.opts.UseBravo || l.opts.AutoSNZI {
+	switch l.opts.ReaderTracking {
+	case TrackBravo, TrackAuto:
 		slots := bravoSlotCount(l.opts)
 		l.opts.BravoSlots = slots
 		l.indBravo = readers.NewBravo(e, ar.AllocWords(readers.BravoWords(slots)), slots)
@@ -331,13 +347,15 @@ func MustNew(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pi
 
 // Name implements rwlock.Lock.
 func (l *Lock) Name() string {
-	switch {
-	case l.opts.AutoSNZI:
+	switch l.opts.ReaderTracking {
+	case TrackAuto:
 		return "SpRWL-Auto"
-	case l.opts.UseBravo:
+	case TrackBravo:
 		return "SpRWL-Bravo"
-	case l.opts.UseSNZI:
+	case TrackSNZI:
 		return "SpRWL-SNZI"
+	}
+	switch {
 	case !l.opts.ReaderSync && !l.opts.WriterSync:
 		return "SpRWL-NoSched"
 	case l.opts.ReaderSync && !l.opts.JoinWaiters && !l.opts.WriterSync:
@@ -393,16 +411,16 @@ var dynSeed atomic.Uint64
 // refinements (HTM-first sections, clock advertisement, §3.3 wait
 // registration, duration sampling) are skipped: they all key on a slot.
 //
-// Requires a dynamic-safe backend: UseBravo, UseSNZI, or AutoSNZI. Under
-// AutoSNZI the first dynamic handle permanently evicts flag-array
-// tracking (the flag array cannot represent slot-less readers); the
-// controller keeps self-tuning between BRAVO and SNZI.
+// Requires dynamic-safe reader tracking: TrackBravo, TrackSNZI or
+// TrackAuto. Under TrackAuto the first dynamic handle permanently evicts
+// flag-array tracking (the flag array cannot represent slot-less
+// readers); the controller keeps self-tuning between BRAVO and SNZI.
 func (l *Lock) NewDynamicHandle() (rwlock.Handle, error) {
-	if !l.opts.AutoSNZI && !l.opts.UseBravo && !l.opts.UseSNZI {
-		return nil, errors.New("core: dynamic handles need a dynamic-safe reader backend (UseBravo, UseSNZI or AutoSNZI)")
+	if l.opts.ReaderTracking == TrackFlags {
+		return nil, errors.New("core: dynamic handles need dynamic-safe reader tracking (TrackBravo, TrackSNZI or TrackAuto)")
 	}
 	h := &handle{l: l, slot: -1, hint: readers.Mix64(dynSeed.Add(1))}
-	if l.opts.AutoSNZI {
+	if l.opts.ReaderTracking == TrackAuto {
 		l.dynReaders.Add(1)
 		// Evict flag-array tracking before this handle's first read,
 		// under the transition lock so a controller switch in flight

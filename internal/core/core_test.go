@@ -45,6 +45,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(e, ar, 5, 1, DefaultOptions(), nil); err == nil {
 		t.Fatal("New accepted more threads than the environment has slots")
 	}
+	for _, rt := range []ReaderTracking{TrackFlags - 1, TrackAuto + 1} {
+		opts := DefaultOptions()
+		opts.ReaderTracking = rt
+		if _, err := New(e, ar, 1, 1, opts, nil); err == nil {
+			t.Fatalf("New accepted reader tracking %d", rt)
+		}
+	}
 }
 
 func TestVariantNames(t *testing.T) {
@@ -138,7 +145,7 @@ func TestFig2WriterCommitsInHTM(t *testing.T) {
 func TestFig1WriterAbortsOnActiveReader(t *testing.T) {
 	for _, opts := range []Options{NoSchedOptions(), func() Options {
 		o := NoSchedOptions()
-		o.UseSNZI = true
+		o.ReaderTracking = TrackSNZI
 		return o
 	}()} {
 		// Force the long-reader path immediately so the reader parks

@@ -26,7 +26,7 @@ func TestDynamicHandleRequiresDynamicBackend(t *testing.T) {
 }
 
 // TestDynamicHandleEvictsFlagTracking: handing out a dynamic handle under
-// AutoSNZI while tracking sits in the flag array must move tracking to a
+// TrackAuto while tracking sits in the flag array must move tracking to a
 // structure that can hold slot-less readers, and the controller must never
 // move it back while dynamic handles exist.
 func TestDynamicHandleEvictsFlagTracking(t *testing.T) {

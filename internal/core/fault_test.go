@@ -14,8 +14,8 @@ import (
 // lock acquisition and the reader drain.
 func TestFaultHookFires(t *testing.T) {
 	opts := DefaultOptions()
-	opts.UseBravo = true        // dynamic handles force the write fallback path
-	opts.ReaderHTMFirst = false // force the uninstrumented (flagged) reader path
+	opts.ReaderTracking = TrackBravo // dynamic handles force the write fallback path
+	opts.ReaderHTMFirst = false      // force the uninstrumented (flagged) reader path
 	l, _, _, _ := testSetup(t, 2, htm.Config{}, opts)
 
 	type hit struct {

@@ -54,7 +54,7 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 	}
 
 	l.sample(h.slot, csID, bodyCycles)
-	if l.opts.AutoSNZI {
+	if l.opts.ReaderTracking == TrackAuto {
 		h.recordReaderDuration(bodyCycles)
 	}
 	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, l.e.Now())
@@ -249,7 +249,7 @@ func (h *handle) flagReader() {
 	for {
 		target := trackTarget(l.trackingMode())
 		h.arriveIn(target)
-		if !l.opts.AutoSNZI {
+		if l.opts.ReaderTracking != TrackAuto {
 			break
 		}
 		// Re-validate after flagging: the self-tuning controller may

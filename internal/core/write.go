@@ -116,12 +116,12 @@ func (h *handle) finishWrite(csID int, start uint64, mode env.CommitMode) {
 // which is the footprint trade-off Fig. 6 measures.
 func (h *handle) checkForReaders(tx env.TxAccessor) {
 	l := h.l
-	switch {
-	case l.opts.AutoSNZI:
+	switch l.opts.ReaderTracking {
+	case TrackAuto:
 		h.checkForReadersAdaptive(tx)
-	case l.opts.UseBravo:
+	case TrackBravo:
 		h.checkBravo(tx)
-	case l.opts.UseSNZI:
+	case TrackSNZI:
 		h.checkIndicator(tx)
 	default:
 		h.checkFlagArray(tx)
@@ -212,16 +212,16 @@ func (h *handle) waitForReaders(csID int) {
 		l.indBravo.Revoke()
 		h.ring.Readers(obs.ReadersRevoked, csID, l.e.Now())
 	}
-	switch {
-	case l.opts.AutoSNZI:
+	switch l.opts.ReaderTracking {
+	case TrackAuto:
 		// Adaptive mode: readers may be flagged in any structure (a
 		// tracking transition can be mid-flight).
 		l.indSNZI.Drain(l.e)
 		l.indBravo.Drain(l.e)
 		l.indFlags.Drain(l.e)
-	case l.opts.UseBravo:
+	case TrackBravo:
 		l.indBravo.Drain(l.e)
-	case l.opts.UseSNZI:
+	case TrackSNZI:
 		l.indSNZI.Drain(l.e)
 	default:
 		l.indFlags.Drain(l.e)

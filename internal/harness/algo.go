@@ -32,9 +32,6 @@ const (
 	AlgoRWLE         = "RW-LE"
 	AlgoRWL          = "RWL"
 	AlgoBRLock       = "BRLock"
-	AlgoPFRWL        = "PFRWL"
-	AlgoPRWL         = "PRWL"
-	AlgoMCSRW        = "MCS-RW"
 )
 
 // AllAlgorithms lists every lock BuildLock can construct.
@@ -42,8 +39,7 @@ func AllAlgorithms() []string {
 	return []string{
 		AlgoSpRWL, AlgoSpRWLSNZI, AlgoSpRWLBravo, AlgoSpRWLNoSched,
 		AlgoSpRWLRWait, AlgoSpRWLRSync, AlgoSpRWLVSGL, AlgoSpRWLAuto,
-		AlgoTLE, AlgoRWLE, AlgoRWL, AlgoBRLock, AlgoPFRWL, AlgoPRWL,
-		AlgoMCSRW,
+		AlgoTLE, AlgoRWLE, AlgoRWL, AlgoBRLock,
 	}
 }
 
@@ -88,12 +84,6 @@ func BuildLock(name string, e env.Env, ar *memmodel.Arena, threads, numCS int, p
 		return locks.NewRWL(e, ar, pipe), nil
 	case AlgoBRLock:
 		return locks.NewBRLock(e, ar, threads, pipe), nil
-	case AlgoPFRWL:
-		return locks.NewPFRWL(e, ar, pipe), nil
-	case AlgoPRWL:
-		return locks.NewPRWL(e, ar, threads, pipe), nil
-	case AlgoMCSRW:
-		return locks.NewMCSRW(e, ar, threads, pipe), nil
 	default:
 		return nil, fmt.Errorf("harness: unknown algorithm %q", name)
 	}

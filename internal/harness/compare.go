@@ -10,8 +10,9 @@ import (
 // committed BENCH_baseline.json and a fresh run). Points are matched by
 // (figure, section, algorithm, thread count); a matched point regresses when
 // its new throughput falls more than the threshold fraction below the old
-// one. cmd/sprwl-bench -compare exits non-zero when any regression is found,
-// which is the gate every perf-focused change is judged by.
+// one. cmd/sprwl-bench -compare exits non-zero when any regression is found
+// or a point goes missing, which is the gate every perf-focused change is
+// judged by.
 
 // CompareEntry is one matched data point's throughput delta.
 type CompareEntry struct {
@@ -39,16 +40,20 @@ type Comparison struct {
 	Regressions  []CompareEntry
 	Improvements []CompareEntry
 	Unchanged    []CompareEntry
-	// Missing lists points present only in the old set; Extra lists
-	// points present only in the new set. Neither fails the comparison,
-	// but both are reported: a silently vanished point would otherwise
-	// read as "no regression".
+	// Missing lists old points absent from an experiment the new set
+	// contains. They fail the comparison: a silently vanished point
+	// would otherwise read as "no regression".
 	Missing []string
-	Extra   []string
+	// MissingExperiments lists old experiments the new set does not
+	// contain at all (a partial run, or the wall-clock sections that
+	// -exp all leaves out). They are reported but do not fail.
+	MissingExperiments []string
+	// Extra lists points present only in the new set; reported only.
+	Extra []string
 }
 
 // OK reports whether the comparison passes the regression gate.
-func (c *Comparison) OK() bool { return len(c.Regressions) == 0 }
+func (c *Comparison) OK() bool { return len(c.Regressions) == 0 && len(c.Missing) == 0 }
 
 func relDelta(old, new float64) float64 {
 	switch {
@@ -86,9 +91,21 @@ func CompareReports(oldReports, newReports []*Report, threshold float64) *Compar
 	}
 	oldIdx, oldOrder := index(oldReports)
 	newIdx, newOrder := index(newReports)
+	newExps := make(map[string]bool)
+	for _, r := range newReports {
+		newExps[r.ID] = true
+	}
 
 	c := &Comparison{Threshold: threshold}
+	for _, r := range oldReports {
+		if !newExps[r.ID] {
+			c.MissingExperiments = append(c.MissingExperiments, r.ID)
+		}
+	}
 	for _, k := range oldOrder {
+		if !newExps[k.fig] {
+			continue
+		}
 		op := oldIdx[k]
 		np, ok := newIdx[k]
 		if !ok {
@@ -138,6 +155,9 @@ func (c *Comparison) Format(w io.Writer) {
 	section("improvements", c.Improvements)
 	for _, m := range c.Missing {
 		fmt.Fprintf(w, "missing from new run: %s\n", m)
+	}
+	for _, m := range c.MissingExperiments {
+		fmt.Fprintf(w, "experiment not in new run (not compared): %s\n", m)
 	}
 	for _, x := range c.Extra {
 		fmt.Fprintf(w, "only in new run: %s\n", x)

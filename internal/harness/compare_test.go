@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -51,23 +52,69 @@ func TestCompareReportsIdenticalSetsPass(t *testing.T) {
 }
 
 func TestCompareReportsMissingAndExtra(t *testing.T) {
-	old := []*Report{mkReport("fig",
-		Point{Algo: "A", Threads: 2, Throughput: 100},
-		Point{Algo: "B", Threads: 2, Throughput: 100},
-	)}
-	new := []*Report{mkReport("fig",
-		Point{Algo: "A", Threads: 2, Throughput: 100},
-		Point{Algo: "C", Threads: 2, Throughput: 100},
-	)}
-	c := CompareReports(old, new, 0.05)
-	if !c.OK() {
-		t.Fatal("missing/extra points must not fail the gate")
+	old := []*Report{
+		mkReport("fig",
+			Point{Algo: "A", Threads: 2, Throughput: 100},
+			Point{Algo: "B", Threads: 2, Throughput: 100},
+		),
+		mkReport("wall", Point{Algo: "A", Threads: 2, Throughput: 100}),
 	}
-	if len(c.Missing) != 1 || !strings.Contains(c.Missing[0], "B@2") {
-		t.Fatalf("missing = %v, want B@2", c.Missing)
-	}
-	if len(c.Extra) != 1 || !strings.Contains(c.Extra[0], "C@2") {
-		t.Fatalf("extra = %v, want C@2", c.Extra)
+	for _, tc := range []struct {
+		name    string
+		new     []*Report
+		ok      bool
+		missing string // substring of the one missing point, or ""
+		extra   string // substring of the one extra point, or ""
+		skipped []string
+	}{
+		{
+			// A point dropped from an experiment the new run contains
+			// fails the gate.
+			name: "point dropped",
+			new: []*Report{
+				mkReport("fig",
+					Point{Algo: "A", Threads: 2, Throughput: 100},
+					Point{Algo: "C", Threads: 2, Throughput: 100},
+				),
+				mkReport("wall", Point{Algo: "A", Threads: 2, Throughput: 100}),
+			},
+			missing: "B@2",
+			extra:   "C@2",
+		},
+		{
+			// A whole experiment absent from the new run (the wall-clock
+			// sections -exp all leaves out) is listed but passes.
+			name: "experiment absent",
+			new: []*Report{mkReport("fig",
+				Point{Algo: "A", Threads: 2, Throughput: 100},
+				Point{Algo: "B", Threads: 2, Throughput: 100},
+			)},
+			ok:      true,
+			skipped: []string{"wall"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := CompareReports(old, tc.new, 0.05)
+			if c.OK() != tc.ok {
+				t.Fatalf("OK = %v, want %v (missing %v)", c.OK(), tc.ok, c.Missing)
+			}
+			check := func(what string, got []string, want string) {
+				if want == "" {
+					if len(got) != 0 {
+						t.Fatalf("%s = %v, want none", what, got)
+					}
+					return
+				}
+				if len(got) != 1 || !strings.Contains(got[0], want) {
+					t.Fatalf("%s = %v, want %s", what, got, want)
+				}
+			}
+			check("missing", c.Missing, tc.missing)
+			check("extra", c.Extra, tc.extra)
+			if !slices.Equal(c.MissingExperiments, tc.skipped) {
+				t.Fatalf("missing experiments = %v, want %v", c.MissingExperiments, tc.skipped)
+			}
+		})
 	}
 }
 

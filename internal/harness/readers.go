@@ -68,8 +68,8 @@ func readersBackends() []readersBackendSpec {
 	}
 	return []readersBackendSpec{
 		{AlgoSpRWL, base(func(*core.Options) {}), false},
-		{AlgoSpRWLSNZI, base(func(o *core.Options) { o.UseSNZI = true }), true},
-		{AlgoSpRWLBravo, base(func(o *core.Options) { o.UseBravo = true }), true},
+		{AlgoSpRWLSNZI, base(func(o *core.Options) { o.ReaderTracking = core.TrackSNZI }), true},
+		{AlgoSpRWLBravo, base(func(o *core.Options) { o.ReaderTracking = core.TrackBravo }), true},
 	}
 }
 
@@ -193,7 +193,7 @@ func oversubGoroutineCounts(quick bool) []int {
 func RunOversubPoint(g int, parking bool, wallNanos uint64) (Point, error) {
 	opts := core.NoSchedOptions()
 	opts.ReaderHTMFirst = false
-	opts.UseSNZI = true
+	opts.ReaderTracking = core.TrackSNZI
 
 	space, err := htm.NewSpace(htm.Config{
 		Threads: 1,

@@ -96,7 +96,7 @@ func runChaosCombo(t *testing.T, combo chaosCombo) comboArtifact {
 	pipe := col.Pipeline(prof)
 
 	opts := core.DefaultOptions()
-	opts.UseBravo = true
+	opts.ReaderTracking = core.TrackBravo
 	opts.BravoSlots = 4
 	l := core.MustNew(e, ar, threads, 4, opts, pipe)
 	data := ar.AllocLines(1)

@@ -149,7 +149,7 @@ func (t *Tx) Load(a memmodel.Addr) uint64 {
 			// The line is ours but this word was never stored:
 			// memory still holds its pre-transactional value, and
 			// owning the line means no tracking is needed.
-			return atomic.LoadUint64(s.word(a))
+			return t.memLoad(a)
 		}
 	}
 	if t.rot {
@@ -167,7 +167,23 @@ func (t *Tx) Load(a memmodel.Addr) uint64 {
 		t.readSet.add(l)
 		t.resolveWriter(lm)
 	}
-	return atomic.LoadUint64(s.word(a))
+	return t.memLoad(a)
+}
+
+// memLoad reads a from memory and re-checks the doom flag afterwards.
+// Hardware aborts a transaction at the conflicting access, so a doomed
+// transaction never retires a load; here a conflicting writer can doom us
+// and then store between Load's entry check and the read, and returning
+// that value would let the body act on a state no serialization explains
+// (a torn read of a multi-word update).
+//
+//sprwl:hotpath
+func (t *Tx) memLoad(a memmodel.Addr) uint64 {
+	v := atomic.LoadUint64(t.space.word(a))
+	if t.doomed() {
+		panic(abortPanic{cause: t.doomCause()})
+	}
+	return v
 }
 
 // rotLoad performs an untracked transactional load.

@@ -1,9 +1,7 @@
 // Package locks implements the pessimistic read-write lock baselines the
-// paper evaluates SpRWL against (§2, §4): the pthread-style RWLock, the
-// Linux Big Reader Lock (BRLock), the phase-fair RWLock of Brandenburg and
-// Anderson, and the Passive Reader-Writer Lock of Liu, Zhang and Chen — plus
-// the spin mutex used as the single-global-lock fallback by the HTM-based
-// algorithms.
+// paper evaluates SpRWL against (§2, §4): the pthread-style RWLock and the
+// Linux Big Reader Lock (BRLock) — plus the spin mutex used as the
+// single-global-lock fallback by the HTM-based algorithms.
 //
 // All lock state lives in simulated memory and is manipulated through an
 // env.Env, so the same implementations run under the real concurrent
@@ -28,7 +26,7 @@ const SpinLocked = uint64(1)
 // SpinMutex is a test-and-test-and-set lock on a single simulated word,
 // with spin-then-park waiting (package park) on environments that provide
 // a parker. It is the single-global-lock (SGL) fallback primitive of the
-// HTM-based algorithms and the building block of BRLock and PRWL.
+// HTM-based algorithms and the building block of BRLock.
 type SpinMutex struct {
 	e   env.Env
 	a   memmodel.Addr

@@ -40,15 +40,6 @@ func allLocks() []lockMaker {
 		{"BRLock", func(e env.Env, ar *memmodel.Arena, n int, pipe *obs.Pipeline) rwlock.Lock {
 			return NewBRLock(e, ar, n, pipe)
 		}},
-		{"PFRWL", func(e env.Env, ar *memmodel.Arena, _ int, pipe *obs.Pipeline) rwlock.Lock {
-			return NewPFRWL(e, ar, pipe)
-		}},
-		{"PRWL", func(e env.Env, ar *memmodel.Arena, n int, pipe *obs.Pipeline) rwlock.Lock {
-			return NewPRWL(e, ar, n, pipe)
-		}},
-		{"MCS-RW", func(e env.Env, ar *memmodel.Arena, n int, pipe *obs.Pipeline) rwlock.Lock {
-			return NewMCSRW(e, ar, n, pipe)
-		}},
 	}
 }
 
@@ -221,9 +212,8 @@ func TestReadersCanOverlap(t *testing.T) {
 }
 
 // TestWriterNotStarvedByReaderStream: with a continuous stream of readers,
-// a writer must still complete. RWL is writer-preferring, PFRWL is
-// phase-fair, BRLock writers take every mutex, PRWL writers block new
-// readers via the version bump — all four guarantee this.
+// a writer must still complete. RWL is writer-preferring and BRLock writers
+// take every mutex — both guarantee this.
 func TestWriterNotStarvedByReaderStream(t *testing.T) {
 	const readers = 3
 	for _, lm := range allLocks() {
@@ -293,7 +283,7 @@ func TestLockNames(t *testing.T) {
 	for _, lm := range allLocks() {
 		names[lm.make(e, ar, 2, nil).Name()] = true
 	}
-	for _, want := range []string{"RWL", "BRLock", "PFRWL", "PRWL", "MCS-RW"} {
+	for _, want := range []string{"RWL", "BRLock"} {
 		if !names[want] {
 			t.Errorf("missing lock name %q", want)
 		}

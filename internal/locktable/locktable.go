@@ -6,7 +6,7 @@
 // one lock's reader indicators, writer queue, and parking hub.
 //
 // Each shard is a complete, independent SpRWL lock: its own BRAVO reader
-// table (sized from GOMAXPROCS by default), its own AutoSNZI self-tuning
+// table (sized from GOMAXPROCS by default), its own TrackAuto self-tuning
 // controller, its own fallback lock and waiter wake hub. A key selects its
 // shard by splitmix64 hash mixing (readers.Mix64) masked to the table size,
 // so adjacent keys land on unrelated shards and a skewed key distribution

@@ -49,8 +49,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.NumCS != 16 {
 		t.Fatalf("default NumCS = %d, want 16", cfg.NumCS)
 	}
-	if !cfg.Opts.AutoSNZI {
-		t.Fatalf("default Opts = %+v, want AutoSNZI", cfg.Opts)
+	if cfg.Opts.ReaderTracking != core.TrackAuto {
+		t.Fatalf("default Opts = %+v, want TrackAuto", cfg.Opts)
 	}
 
 	for _, tc := range []struct{ in, want int }{

@@ -50,8 +50,11 @@ func tinyBravoOptions() core.Options {
 	return o
 }
 
-func TestConformance(t *testing.T) {
-	factories := map[string]Factory{
+// htmFactories covers every algorithm built on (simulated) HTM: each core
+// preset and reader-tracking mode, the dynamic-handle variants, TLE and
+// RW-LE.
+func htmFactories() map[string]Factory {
+	return map[string]Factory{
 		"SpRWL":            coreFactory(core.DefaultOptions),
 		"SpRWL-NoSched":    coreFactory(core.NoSchedOptions),
 		"SpRWL-RWait":      coreFactory(core.RWaitOptions),
@@ -79,21 +82,16 @@ func TestConformance(t *testing.T) {
 		"RW-LE": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
 			return rwle.New(e, ar, threads, 0, 0, nil)
 		},
-		"RWL": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return locks.NewRWL(e, ar, nil)
-		},
-		"BRLock": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return locks.NewBRLock(e, ar, threads, nil)
-		},
-		"PFRWL": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return locks.NewPFRWL(e, ar, nil)
-		},
-		"PRWL": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return locks.NewPRWL(e, ar, threads, nil)
-		},
-		"MCS-RW": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return locks.NewMCSRW(e, ar, threads, nil)
-		},
+	}
+}
+
+func TestConformance(t *testing.T) {
+	factories := htmFactories()
+	factories["RWL"] = func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
+		return locks.NewRWL(e, ar, nil)
+	}
+	factories["BRLock"] = func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
+		return locks.NewBRLock(e, ar, threads, nil)
 	}
 	for name, f := range factories {
 		t.Run(name, func(t *testing.T) {
@@ -103,21 +101,14 @@ func TestConformance(t *testing.T) {
 }
 
 // TestConformanceUnderCapacityPressure re-runs the suite with a tiny HTM
-// capacity, forcing every algorithm through its fallback machinery.
+// capacity, forcing every HTM-based algorithm through its fallback
+// machinery. For core this drives the fallback writer's drain and
+// checkForReaders under every reader-tracking mode.
 func TestConformanceUnderCapacityPressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("capacity-pressure conformance is slow under -short")
 	}
-	factories := map[string]Factory{
-		"SpRWL": coreFactory(core.DefaultOptions),
-		"TLE": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return tle.New(e, ar, 0, nil)
-		},
-		"RW-LE": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return rwle.New(e, ar, threads, 0, 0, nil)
-		},
-	}
-	for name, f := range factories {
+	for name, f := range htmFactories() {
 		t.Run(name, func(t *testing.T) {
 			Run(t, f, Config{HTMConfig: htm.Config{ReadCapacityLines: 3, WriteCapacityLines: 3}})
 		})

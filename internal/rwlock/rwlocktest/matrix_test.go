@@ -21,9 +21,9 @@ var backendAxis = []struct {
 	apply func(*core.Options)
 }{
 	{"flags", func(*core.Options) {}},
-	{"snzi", func(o *core.Options) { o.UseSNZI = true }},
-	{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 8 }},
-	{"auto", func(o *core.Options) { o.AutoSNZI = true; o.AutoSNZIThreshold = 4096 }},
+	{"snzi", func(o *core.Options) { o.ReaderTracking = core.TrackSNZI }},
+	{"bravo", func(o *core.Options) { o.ReaderTracking = core.TrackBravo; o.BravoSlots = 8 }},
+	{"auto", func(o *core.Options) { o.ReaderTracking = core.TrackAuto; o.AutoSNZIThreshold = 4096 }},
 }
 
 // validOptionCombos enumerates every semantically valid Options value over

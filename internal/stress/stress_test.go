@@ -77,9 +77,9 @@ func variants() []variant {
 		dynamic bool
 	}{
 		{"flags", func(*core.Options) {}, false},
-		{"snzi", func(o *core.Options) { o.UseSNZI = true }, true},
-		{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 4 }, true},
-		{"auto", func(o *core.Options) { o.AutoSNZI = true; o.AutoSNZIThreshold = 4096 }, true},
+		{"snzi", func(o *core.Options) { o.ReaderTracking = core.TrackSNZI }, true},
+		{"bravo", func(o *core.Options) { o.ReaderTracking = core.TrackBravo; o.BravoSlots = 4 }, true},
+		{"auto", func(o *core.Options) { o.ReaderTracking = core.TrackAuto; o.AutoSNZIThreshold = 4096 }, true},
 	}
 	scheds := []struct {
 		name string
@@ -94,9 +94,6 @@ func variants() []variant {
 	for _, b := range backends {
 		for _, s := range scheds {
 			o := s.base()
-			// The named presets pick their own tracking; reset to the
-			// flag array before applying the backend axis.
-			o.UseSNZI, o.UseBravo, o.AutoSNZI = false, false, false
 			b.apply(&o)
 			vs = append(vs, variant{name: b.name + "/" + s.name, opts: o, dynamic: b.dynamic})
 		}

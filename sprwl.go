@@ -45,11 +45,24 @@ type (
 	// Options selects SpRWL's scheduling schemes and optimizations
 	// (§3.2–§3.4 of the paper); see DefaultOptions.
 	Options = core.Options
+	// ReaderTracking selects the structure readers publish themselves
+	// in (Options.ReaderTracking).
+	ReaderTracking = core.ReaderTracking
 	// Snapshot is a merged statistics view (commit modes, abort causes,
 	// latencies).
 	Snapshot = stats.Snapshot
 	// Profile describes an emulated machine (capacities, SMT topology).
 	Profile = htm.Profile
+)
+
+// Reader-tracking structures: the per-thread flag array (the zero value),
+// SNZI, the BRAVO visible-readers table, and runtime self-tuning among the
+// three.
+const (
+	TrackFlags = core.TrackFlags
+	TrackSNZI  = core.TrackSNZI
+	TrackBravo = core.TrackBravo
+	TrackAuto  = core.TrackAuto
 )
 
 // Re-exported option presets (the paper's named variants).
@@ -173,9 +186,9 @@ func (l *Lock) Handle(slot int) Handle {
 
 // DynamicHandle returns an endpoint for a worker that has no preassigned
 // slot — goroutines may come and go beyond Config.Threads. Dynamic readers
-// register through a slot-free indicator (BRAVO or SNZI), so the options
-// must select one: UseBravo, UseSNZI or AutoSNZI. Dynamic writers always
-// take the pessimistic fallback path.
+// register through a slot-free indicator (BRAVO or SNZI), so
+// Options.ReaderTracking must be TrackBravo, TrackSNZI or TrackAuto.
+// Dynamic writers always take the pessimistic fallback path.
 func (l *Lock) DynamicHandle() (Handle, error) {
 	h, err := l.lock.NewDynamicHandle()
 	if err != nil {
