@@ -8,7 +8,7 @@
 // caught too.
 //
 // Per function (declarations and each function literal separately), seven
-// path rules run over coreevent-classified calls:
+// path rules run over protocol events (see events.go):
 //
 //   - F1 (may-forward): no path may reach a critical-section body
 //     invocation with the reader flag already retracted — re-running the
@@ -73,7 +73,6 @@ import (
 
 	"sprwl/internal/analysis/astq"
 	"sprwl/internal/analysis/cfg"
-	"sprwl/internal/analysis/coreevent"
 	"sprwl/internal/analysis/dataflow"
 	"sprwl/internal/analysis/driver"
 )
@@ -109,13 +108,13 @@ const (
 
 // checkedBit maps a parked-on family to its F7 fact bit; ok is false for
 // families no core wait loop parks on.
-func checkedBit(fam coreevent.Family) (int, bool) {
+func checkedBit(fam family) (int, bool) {
 	switch fam {
-	case coreevent.FamState:
+	case famState:
 		return bitCheckedState, true
-	case coreevent.FamReaderVer:
+	case famReaderVer:
 		return bitCheckedReaderVer, true
-	case coreevent.FamGL:
+	case famGL:
 		return bitCheckedGL, true
 	}
 	return 0, false
@@ -142,8 +141,8 @@ func run(pass *driver.Pass) error {
 				checkBody(pass, info, fn.Body)
 			case *ast.CallExpr:
 				// Rule E: no raw sync/atomic in core.
-				if ev, ok := coreevent.Classify(info, fn); ok && ev.Kind == coreevent.Atomic {
-					pass.Reportf(ev.Pos, "fence order: direct sync/atomic call %s in core bypasses the simulated memory model; protocol state must use the env Load/Store/CAS/Add API", ev.Name)
+				if ev, ok := classify(info, fn, nil); ok && ev.kind == evAtomic {
+					pass.Reportf(ev.pos, "fence order: direct sync/atomic call %s in core bypasses the simulated memory model; protocol state must use the env Load/Store/CAS/Add API", ev.name)
 				}
 			}
 			return true
@@ -165,7 +164,7 @@ func checkBody(pass *driver.Pass, info *types.Info, body *ast.BlockStmt) {
 	// (`a := l.stateAddr(wait)`), so loads, parks, and wakes through the
 	// alias classify with the right family. An alias later rebound to a
 	// different family is dropped rather than guessed at.
-	aliases := make(map[types.Object]coreevent.Family)
+	aliases := make(map[types.Object]family)
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || (as.Tok != token.DEFINE && as.Tok != token.ASSIGN) {
@@ -183,25 +182,25 @@ func checkBody(pass *driver.Pass, info *types.Info, body *ast.BlockStmt) {
 			if obj == nil {
 				continue
 			}
-			fam := coreevent.AddrFamily(as.Rhs[i])
+			fam := addrFamily(as.Rhs[i])
 			if prev, seen := aliases[obj]; seen && prev != fam {
-				fam = coreevent.FamOther
+				fam = famOther
 			}
 			aliases[obj] = fam
 		}
 		return true
 	})
-	resolve := func(e ast.Expr) coreevent.Family {
+	resolve := func(e ast.Expr) family {
 		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 			if obj := info.ObjectOf(id); obj != nil {
 				return aliases[obj]
 			}
 		}
-		return coreevent.FamOther
+		return famOther
 	}
 
 	// Classify once; the three flows and the replay passes all index this.
-	events := make(map[ast.Node]coreevent.Event)
+	events := make(map[ast.Node]event)
 	aborts := make(map[ast.Node]bool)
 	var hasFlag, hasClockWStore bool
 	for _, b := range g.Blocks {
@@ -215,12 +214,12 @@ func checkBody(pass *driver.Pass, info *types.Info, body *ast.BlockStmt) {
 					aborts[m] = true
 					return true
 				}
-				if ev, ok := coreevent.ClassifyResolved(info, call, resolve); ok {
+				if ev, ok := classify(info, call, resolve); ok {
 					events[m] = ev
 					switch {
-					case ev.Kind == coreevent.Flag:
+					case ev.kind == evFlag:
 						hasFlag = true
-					case ev.Kind == coreevent.Store && ev.Fam == coreevent.FamClockW:
+					case ev.kind == evStore && ev.fam == famClockW:
 						hasClockWStore = true
 					}
 				}
@@ -240,23 +239,23 @@ func checkBody(pass *driver.Pass, info *types.Info, body *ast.BlockStmt) {
 				return nil, nil
 			}
 			switch {
-			case ev.Kind == coreevent.Flag:
+			case ev.kind == evFlag:
 				gen = append(gen, bitFlagged)
-			case coreevent.IsRetractEvent(ev):
+			case ev.isRetract():
 				kill = append(kill, bitFlagged)
-			case ev.Kind == coreevent.Store && ev.Fam == coreevent.FamClockW:
+			case ev.kind == evStore && ev.fam == famClockW:
 				gen = append(gen, bitClockW)
 			}
 			// F7 facts: a load of a parked-on word arms its check bit; a
 			// park consumes it, so the next park needs a fresh re-check
 			// (the loop's back edge re-arms through the condition load).
-			switch ev.Kind {
-			case coreevent.Load:
-				if bit, ok := checkedBit(ev.Fam); ok {
+			switch ev.kind {
+			case evLoad:
+				if bit, ok := checkedBit(ev.fam); ok {
 					gen = append(gen, bit)
 				}
-			case coreevent.Pause:
-				if bit, ok := checkedBit(ev.Fam); ok {
+			case evPause:
+				if bit, ok := checkedBit(ev.fam); ok {
 					kill = append(kill, bit)
 				}
 			}
@@ -271,9 +270,9 @@ func checkBody(pass *driver.Pass, info *types.Info, body *ast.BlockStmt) {
 				return nil, nil
 			}
 			switch {
-			case coreevent.IsRetractEvent(ev):
+			case ev.isRetract():
 				gen = append(gen, bitRetracted)
-			case ev.Kind == coreevent.Flag:
+			case ev.kind == evFlag:
 				kill = append(kill, bitRetracted)
 			}
 			return gen, kill
@@ -293,18 +292,18 @@ func checkBody(pass *driver.Pass, info *types.Info, body *ast.BlockStmt) {
 				return nil, nil
 			}
 			switch {
-			case ev.Kind == coreevent.Load && ev.Fam == coreevent.FamGLVer:
+			case ev.kind == evLoad && ev.fam == famGLVer:
 				gen = append(gen, bitGLVerLoad)
-			case coreevent.IsRetractEvent(ev):
+			case ev.isRetract():
 				gen = append(gen, bitRetract)
 			}
 			// F6 facts: a Wake discharges the same-family obligation of
 			// every phase store on paths that reach it.
-			if ev.Kind == coreevent.Wake {
-				switch ev.Fam {
-				case coreevent.FamState:
+			if ev.kind == evWake {
+				switch ev.fam {
+				case famState:
 					gen = append(gen, bitWakeState)
-				case coreevent.FamReaderVer:
+				case famReaderVer:
 					gen = append(gen, bitWakeReaderVer)
 				}
 			}
@@ -322,38 +321,38 @@ func checkBody(pass *driver.Pass, info *types.Info, body *ast.BlockStmt) {
 			if !ok {
 				return
 			}
-			if ev.Kind == coreevent.Pause {
+			if ev.kind == evPause {
 				// F7: park only on a freshly checked word, on every
 				// incoming path (including the loop back edge).
-				if bit, ok := checkedBit(ev.Fam); ok && !before.Has(bit) {
-					pass.Reportf(ev.Pos, "fence order: a path reaches this park on the %s word without re-checking it since the last park (lost-wakeup window: the word may already hold the waiter's target value)", ev.Fam)
+				if bit, ok := checkedBit(ev.fam); ok && !before.Has(bit) {
+					pass.Reportf(ev.pos, "fence order: a path reaches this park on the %s word without re-checking it since the last park (lost-wakeup window: the word may already hold the waiter's target value)", ev.fam)
 				}
 				return
 			}
-			if ev.Kind != coreevent.Store {
+			if ev.kind != evStore {
 				return
 			}
 			switch {
-			case ev.Fam == coreevent.FamState && ev.Val == coreevent.ValStateWriter:
+			case ev.fam == famState && ev.val == valStateWriter:
 				// F2: advertise requires the clock on every incoming path.
 				if hasClockWStore && !before.Has(bitClockW) {
-					pass.Reportf(ev.Pos, "fence order: a path reaches this stateWriter advertise without storing the writer clock (clockW); readers on that path observe an active writer with a stale clock")
+					pass.Reportf(ev.pos, "fence order: a path reaches this stateWriter advertise without storing the writer clock (clockW); readers on that path observe an active writer with a stale clock")
 				}
-			case ev.Fam == coreevent.FamReaderVer && ev.Val == coreevent.ValZero:
+			case ev.fam == famReaderVer && ev.val == valZero:
 				// F3: retire only while flagged, on every incoming path.
 				if hasFlag && !before.Has(bitFlagged) {
-					pass.Reportf(ev.Pos, "fence order: a path reaches this readerVer retire (store of zero) with the reader not flagged; neither the version word nor the flag covers the reader on that path")
+					pass.Reportf(ev.pos, "fence order: a path reaches this readerVer retire (store of zero) with the reader not flagged; neither the version word nor the flag covers the reader on that path")
 				}
 			}
 		})
 		mayFwd.ReplayForward(b, mayFacts.In[b], func(n ast.Node, _ bool, before dataflow.Bits) {
 			ev, ok := events[n]
-			if !ok || ev.Kind != coreevent.Body {
+			if !ok || ev.kind != evBody {
 				return
 			}
 			// F1: no path may re-enter the body after retracting.
 			if before.Has(bitRetracted) {
-				pass.Reportf(ev.Pos, "fence order: a path reaches this critical-section body with the reader flag already retracted; re-flag before re-running the body")
+				pass.Reportf(ev.pos, "fence order: a path reaches this critical-section body with the reader flag already retracted; re-flag before re-running the body")
 			}
 		})
 		mustBwd.ReplayBackward(b, bwdFacts.Out[b], func(n ast.Node, _ bool, after dataflow.Bits) {
@@ -362,30 +361,30 @@ func checkBody(pass *driver.Pass, info *types.Info, body *ast.BlockStmt) {
 				return
 			}
 			switch {
-			case ev.Kind == coreevent.Store && ev.Fam == coreevent.FamReaderVer && ev.Val != coreevent.ValZero:
+			case ev.kind == evStore && ev.fam == famReaderVer && ev.val != valZero:
 				// F4: registration must be validated on every outgoing path.
 				if !after.Has(bitGLVerLoad) {
-					pass.Reportf(ev.Pos, "fence order: a path from this readerVer registration reaches return without a glVer validation load (unsafe lazy subscription)")
+					pass.Reportf(ev.pos, "fence order: a path from this readerVer registration reaches return without a glVer validation load (unsafe lazy subscription)")
 				}
-			case ev.Kind == coreevent.Body && hasFlag:
+			case ev.kind == evBody && hasFlag:
 				// F5: the flag must come down on every path after the body.
 				if !after.Has(bitRetract) {
-					pass.Reportf(ev.Pos, "fence order: a path from this critical-section body reaches return without retracting the reader flag; the slot stays published after the read completes")
+					pass.Reportf(ev.pos, "fence order: a path from this critical-section body reaches return without retracting the reader flag; the slot stays published after the read completes")
 				}
 			}
 			// F6: a store to a parked-on phase word must reach a
 			// same-family wake on every outgoing path — the parking table
 			// has no spurious wakeups, so an unwoken phase transition
 			// strands any sleeper whose predicate it satisfies.
-			if ev.Kind == coreevent.Store {
+			if ev.kind == evStore {
 				switch {
-				case ev.Fam == coreevent.FamState && ev.Val == coreevent.ValStateEmpty:
+				case ev.fam == famState && ev.val == valStateEmpty:
 					if !after.Has(bitWakeState) {
-						pass.Reportf(ev.Pos, "fence order: a path from this stateEmpty retire reaches return without waking the state word; a reader parked on the writer's phase word stays asleep (lost wakeup)")
+						pass.Reportf(ev.pos, "fence order: a path from this stateEmpty retire reaches return without waking the state word; a reader parked on the writer's phase word stays asleep (lost wakeup)")
 					}
-				case ev.Fam == coreevent.FamReaderVer:
+				case ev.fam == famReaderVer:
 					if !after.Has(bitWakeReaderVer) {
-						pass.Reportf(ev.Pos, "fence order: a path from this readerVer store reaches return without waking the registration word; a fallback writer parked on its §3.3 drain stays asleep (lost wakeup)")
+						pass.Reportf(ev.pos, "fence order: a path from this readerVer store reaches return without waking the registration word; a fallback writer parked on its §3.3 drain stays asleep (lost wakeup)")
 					}
 				}
 			}

@@ -53,8 +53,8 @@ const (
 type coreOptions struct {
 	ReaderSync, JoinWaiters, WriterSync, ReaderHTMFirst bool
 	ReaderTracking                                      core.ReaderTracking
-	TimedReaderWait, VersionedSGL                       bool
-	MaxRetries, ReaderRetries                           int
+	VersionedSGL                                        bool
+	MaxRetries                                          int
 }
 
 func boolConst(b bool) *absVal { return numVal(Konst(boolTo(b))) }
@@ -67,8 +67,10 @@ type binder struct {
 	threads int
 	parker  bool
 	opts    coreOptions
-	bravo   bool
 }
+
+// bravo reports whether the configuration allocates a BRAVO table.
+func (b *binder) bravo() bool { return b.opts.ReaderTracking == core.TrackBravo }
 
 func (b *binder) envObj() *object { return newObject("env", "env", nil) }
 
@@ -100,15 +102,13 @@ func (b *binder) hubObj(parker *absVal) *object {
 func (b *binder) optsObj() *object {
 	o := b.opts
 	return newObject("Options", "opts", map[string]*absVal{
-		"ReaderSync":      boolConst(o.ReaderSync),
-		"JoinWaiters":     boolConst(o.JoinWaiters),
-		"WriterSync":      boolConst(o.WriterSync),
-		"ReaderHTMFirst":  boolConst(o.ReaderHTMFirst),
-		"ReaderTracking":  intConst(int(o.ReaderTracking)),
-		"TimedReaderWait": boolConst(o.TimedReaderWait),
-		"VersionedSGL":    boolConst(o.VersionedSGL),
-		"MaxRetries":      intConst(o.MaxRetries),
-		"ReaderRetries":   intConst(o.ReaderRetries),
+		"ReaderSync":     boolConst(o.ReaderSync),
+		"JoinWaiters":    boolConst(o.JoinWaiters),
+		"WriterSync":     boolConst(o.WriterSync),
+		"ReaderHTMFirst": boolConst(o.ReaderHTMFirst),
+		"ReaderTracking": intConst(int(o.ReaderTracking)),
+		"VersionedSGL":   boolConst(o.VersionedSGL),
+		"MaxRetries":     intConst(o.MaxRetries),
 	})
 }
 
@@ -127,7 +127,7 @@ func (b *binder) lockObj() *object {
 		"n":    intConst(b.threads),
 	})
 	var indBravo *absVal
-	if b.bravo {
+	if b.bravo() {
 		br := newObject("Bravo", "indBravo", map[string]*absVal{
 			"mem":         env,
 			"ctl":         numVal(Konst(bravoCtl)),
@@ -164,18 +164,14 @@ func (b *binder) lockObj() *object {
 
 func (b *binder) handleObj(slot int) *object {
 	// flaggedIn is seeded with the configuration's static tracking
-	// backend (0 = flags, 2 = BRAVO): arriveIn re-stores the same
-	// constant, so departFrom's backend dispatch stays static.
-	backend := 0
-	if b.bravo {
-		backend = 2
-	}
+	// backend: arriveIn re-stores the same constant, so departFrom's
+	// backend dispatch stays static.
 	return newObject("handle", "h", map[string]*absVal{
 		"l":         objVal(b.lockObj()),
 		"slot":      intConst(slot),
 		"hint":      numVal(Konst(uint64(max(slot, 0)))),
 		"ring":      objVal(newObject("ring", "ring", nil)),
-		"flaggedIn": intConst(backend),
+		"flaggedIn": intConst(int(b.opts.ReaderTracking)),
 		"flagToken": numVal(Konst(0)),
 	})
 }
@@ -389,7 +385,7 @@ func buildRSync2R1W(ex *extractor, tm *threadMut) (*Model, error) {
 }
 
 func buildBravo1R1W(ex *extractor, tm *threadMut) (*Model, error) {
-	b := &binder{threads: 2, parker: true, bravo: true, opts: coreOptions{
+	b := &binder{threads: 2, parker: true, opts: coreOptions{
 		ReaderTracking: core.TrackBravo, MaxRetries: 1,
 	}}
 	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)

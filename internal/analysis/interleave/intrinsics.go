@@ -131,11 +131,6 @@ func (f *frame) inlineStatic(call *ast.CallExpr, fn *types.Func, recv *absVal) (
 		}
 		return f.evalExpr(call.Args[0])
 	}
-	// core.handle.atFault is the matching core-side fence hook: nil in
-	// every modeled execution, so the call has no shared-memory effect.
-	if fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/core") && fn.Name() == "atFault" {
-		return numVal(Konst(0)), nil
-	}
 	src, ok := f.lo.ex.prog.FuncSource(fn)
 	if !ok {
 		return nil, f.errAt(call, "no source for %s (outside the module?)", qualifiedName(fn))

@@ -2,9 +2,9 @@ package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
-	"sprwl/internal/env"
 	"sprwl/internal/obs"
 	"sprwl/internal/readers"
 )
@@ -34,31 +34,32 @@ import (
 // reader additionally re-validates the mode after flagging and re-flags if
 // the structure it used is no longer covered — so at every instant an
 // active reader is visible to every checking writer.
+//
+// Backends are named by their static ReaderTracking value (TrackFlags,
+// TrackSNZI, TrackBravo), so a static lock's mode is its option value.
 const (
-	backendFlags uint64 = 0
-	backendSNZI  uint64 = 1
-	backendBravo uint64 = 2
-
-	backendMask uint64 = 3
-	drainShift         = 2
+	targetMask uint64 = 3
+	drainShift        = 2
 )
 
 // trackTarget returns the structure new readers should use under mode m.
-func trackTarget(m uint64) uint64 { return m & backendMask }
+func trackTarget(m uint64) ReaderTracking { return ReaderTracking(m & targetMask) }
 
 // drainingBackend returns the structure a transition is draining, if m is
 // a transition word.
-func drainingBackend(m uint64) (uint64, bool) {
+func drainingBackend(m uint64) (ReaderTracking, bool) {
 	d := m >> drainShift
-	return d - 1, d != 0
+	return ReaderTracking(d - 1), d != 0
 }
 
 // transitionMode packs the transition word draining `from` into `to`.
-func transitionMode(to, from uint64) uint64 { return to | (from+1)<<drainShift }
+func transitionMode(to, from ReaderTracking) uint64 {
+	return uint64(to) | (uint64(from)+1)<<drainShift
+}
 
 // covered reports whether a reader flagged in structure s is visible to
 // writers under mode m.
-func covered(s, m uint64) bool {
+func covered(s ReaderTracking, m uint64) bool {
 	if s == trackTarget(m) {
 		return true
 	}
@@ -76,21 +77,11 @@ type adaptState struct {
 	reads atomic.Uint64
 	// mu serializes tracking transitions: the paced controller and
 	// NewDynamicHandle's one-shot flags eviction must not interleave
-	// their three-phase switches.
-	mu nbMutex
+	// their three-phase switches. The controller only ever TryLocks it,
+	// so it skips an evaluation instead of stalling a reader behind a
+	// transition already in flight.
+	mu sync.Mutex
 }
-
-// nbMutex is a CAS mutex with a non-blocking TryLock, so the paced
-// controller can skip an evaluation instead of stalling a reader behind a
-// transition already in flight.
-type nbMutex struct{ held atomic.Uint32 }
-
-func (m *nbMutex) TryLock() bool { return m.held.CompareAndSwap(0, 1) }
-func (m *nbMutex) Lock() {
-	for !m.held.CompareAndSwap(0, 1) {
-	}
-}
-func (m *nbMutex) Unlock() { m.held.Store(0) }
 
 const (
 	// adaptEvery paces controller evaluations (sampled reads between
@@ -152,10 +143,10 @@ func (h *handle) maybeSwitchTracking() {
 	ema := math.Float64frombits(l.adapt.readerEMA.Load())
 	cur := trackTarget(l.e.Load(l.trackMode))
 	want := l.desiredBackend(cur, ema)
-	if want == backendFlags && l.dynReaders.Load() > 0 {
+	if want == TrackFlags && l.dynReaders.Load() > 0 {
 		// Dynamic readers carry no slot; the flag array cannot hold
 		// them. BRAVO is the cheap-reader structure that can.
-		want = backendBravo
+		want = TrackBravo
 	}
 	if want != cur {
 		h.switchTracking(cur, want)
@@ -164,30 +155,30 @@ func (h *handle) maybeSwitchTracking() {
 
 // desiredBackend maps the reader-duration EMA to a tracking structure,
 // with hysteresis on demotions relative to the current structure.
-func (l *Lock) desiredBackend(cur uint64, ema float64) uint64 {
+func (l *Lock) desiredBackend(cur ReaderTracking, ema float64) ReaderTracking {
 	snziAt := float64(l.opts.AutoSNZIThreshold)
 	bravoAt := snziAt / adaptBravoDivisor
 	switch cur {
-	case backendFlags:
+	case TrackFlags:
 		if ema > snziAt {
-			return backendSNZI
+			return TrackSNZI
 		}
 		if ema > bravoAt {
-			return backendBravo
+			return TrackBravo
 		}
-	case backendBravo:
+	case TrackBravo:
 		if ema > snziAt {
-			return backendSNZI
+			return TrackSNZI
 		}
 		if ema < bravoAt/adaptHysteresis {
-			return backendFlags
+			return TrackFlags
 		}
-	case backendSNZI:
+	case TrackSNZI:
 		if ema < snziAt/adaptHysteresis {
 			if ema > bravoAt {
-				return backendBravo
+				return TrackBravo
 			}
-			return backendFlags
+			return TrackFlags
 		}
 	}
 	return cur
@@ -195,21 +186,20 @@ func (l *Lock) desiredBackend(cur uint64, ema float64) uint64 {
 
 // switchTracking runs the three-phase transition from structure `from` to
 // structure `to`. Caller holds the transition lock.
-func (h *handle) switchTracking(from, to uint64) {
+func (h *handle) switchTracking(from, to ReaderTracking) {
 	l := h.l
 	l.e.Store(l.trackMode, transitionMode(to, from))
-	h.drainBackend(from)
-	l.e.Store(l.trackMode, to)
+	l.drainBackend(from)
+	l.e.Store(l.trackMode, uint64(to))
 	h.ring.Readers(obs.ReadersSwitch, -1, l.e.Now())
 }
 
 // drainBackend waits until no reader is flagged in structure s.
-func (h *handle) drainBackend(s uint64) {
-	l := h.l
+func (l *Lock) drainBackend(s ReaderTracking) {
 	switch s {
-	case backendSNZI:
+	case TrackSNZI:
 		l.indSNZI.Drain(l.e)
-	case backendBravo:
+	case TrackBravo:
 		l.indBravo.Drain(l.e)
 	default:
 		l.indFlags.Drain(l.e)
@@ -219,28 +209,22 @@ func (h *handle) drainBackend(s uint64) {
 // trackingMode returns the current reader-tracking mode for this lock
 // configuration (static modes never read simulated memory).
 func (l *Lock) trackingMode() uint64 {
-	switch l.opts.ReaderTracking {
-	case TrackAuto:
+	if l.opts.ReaderTracking == TrackAuto {
 		return l.e.Load(l.trackMode)
-	case TrackBravo:
-		return backendBravo
-	case TrackSNZI:
-		return backendSNZI
-	default:
-		return backendFlags
 	}
+	return uint64(l.opts.ReaderTracking)
 }
 
 // arriveIn flags the reader in structure s, remembering the structure and
 // the backend token so the retract always targets what was used.
 //
 //sprwl:hotpath
-func (h *handle) arriveIn(s uint64) {
+func (h *handle) arriveIn(s ReaderTracking) {
 	l := h.l
 	switch s {
-	case backendSNZI:
+	case TrackSNZI:
 		h.flagToken = l.indSNZI.Arrive(h.hint)
-	case backendBravo:
+	case TrackBravo:
 		h.flagToken = l.indBravo.Arrive(h.hint)
 		if h.flagToken == readers.OverflowToken && h.ring != nil {
 			h.ring.Readers(obs.ReadersCollision, -1, l.e.Now())
@@ -254,58 +238,14 @@ func (h *handle) arriveIn(s uint64) {
 // departFrom retracts the reader flag from structure s.
 //
 //sprwl:hotpath
-func (h *handle) departFrom(s uint64) {
+func (h *handle) departFrom(s ReaderTracking) {
 	l := h.l
 	switch s {
-	case backendSNZI:
+	case TrackSNZI:
 		l.indSNZI.Depart(h.flagToken)
-	case backendBravo:
+	case TrackBravo:
 		l.indBravo.Depart(h.flagToken)
 	default:
 		l.indFlags.Depart(h.flagToken)
-	}
-}
-
-// checkForReadersAdaptive is the commit-time check under TrackAuto: read the
-// mode (one stable line in the read set) and check the structure(s) it
-// covers.
-func (h *handle) checkForReadersAdaptive(tx env.TxAccessor) {
-	l := h.l
-	m := tx.Load(l.trackMode)
-	h.checkBackend(tx, trackTarget(m))
-	if d, ok := drainingBackend(m); ok {
-		// Transition: readers may still be flagged in the structure
-		// being drained.
-		h.checkBackend(tx, d)
-	}
-}
-
-// checkBackend aborts the writer if structure s holds an active reader.
-func (h *handle) checkBackend(tx env.TxAccessor, s uint64) {
-	switch s {
-	case backendSNZI:
-		h.checkIndicator(tx)
-	case backendBravo:
-		h.checkBravo(tx)
-	default:
-		h.checkFlagArray(tx)
-	}
-}
-
-func (h *handle) checkFlagArray(tx env.TxAccessor) {
-	if h.l.indFlags.Check(tx, h.slot) {
-		tx.Abort(env.AbortReader)
-	}
-}
-
-func (h *handle) checkIndicator(tx env.TxAccessor) {
-	if h.l.indSNZI.Check(tx, -1) {
-		tx.Abort(env.AbortReader)
-	}
-}
-
-func (h *handle) checkBravo(tx env.TxAccessor) {
-	if h.l.indBravo.Check(tx, -1) {
-		tx.Abort(env.AbortReader)
 	}
 }

@@ -24,12 +24,12 @@ func TestAutoName(t *testing.T) {
 }
 
 func TestTrackTargetAndCoverage(t *testing.T) {
-	backends := []uint64{backendFlags, backendSNZI, backendBravo}
+	backends := []ReaderTracking{TrackFlags, TrackSNZI, TrackBravo}
 	for _, b := range backends {
-		if got := trackTarget(b); got != b {
+		if got := trackTarget(uint64(b)); got != b {
 			t.Errorf("trackTarget(%d) = %d, want %d", b, got, b)
 		}
-		if _, ok := drainingBackend(b); ok {
+		if _, ok := drainingBackend(uint64(b)); ok {
 			t.Errorf("steady mode %d reports a draining structure", b)
 		}
 	}
@@ -58,8 +58,8 @@ func TestTrackTargetAndCoverage(t *testing.T) {
 	// Steady modes only cover their own structure.
 	for _, s := range backends {
 		for _, m := range backends {
-			if covered(s, m) != (s == m) {
-				t.Errorf("covered(%d, steady %d) = %v", s, m, covered(s, m))
+			if covered(s, uint64(m)) != (s == m) {
+				t.Errorf("covered(%d, steady %d) = %v", s, m, covered(s, uint64(m)))
 			}
 		}
 	}
@@ -96,8 +96,8 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 	for i := 0; i < adaptEvery+2; i++ {
 		h.Read(0, long)
 	}
-	if got := e.Load(l.trackMode); got != backendSNZI {
-		t.Fatalf("trackMode = %d after long readers, want SNZI (%d)", got, backendSNZI)
+	if got := e.Load(l.trackMode); got != uint64(TrackSNZI) {
+		t.Fatalf("trackMode = %d after long readers, want SNZI (%d)", got, TrackSNZI)
 	}
 
 	// And back again for short readers (hysteresis: the calibrated short
@@ -106,8 +106,8 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 	for i := 0; i < 16*adaptEvery; i++ {
 		h.Read(1, short)
 	}
-	if got := e.Load(l.trackMode); got != backendFlags {
-		t.Fatalf("trackMode = %d after short readers, want flags (%d)", got, backendFlags)
+	if got := e.Load(l.trackMode); got != uint64(TrackFlags) {
+		t.Fatalf("trackMode = %d after short readers, want flags (%d)", got, TrackFlags)
 	}
 }
 
@@ -115,9 +115,10 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 // steady and transition state, an active reader must abort the writer's
 // commit.
 func TestAutoWriterSeesReaderInEitherStructure(t *testing.T) {
-	modes := []uint64{backendFlags, backendSNZI, backendBravo}
-	for _, to := range []uint64{backendFlags, backendSNZI, backendBravo} {
-		for _, from := range []uint64{backendFlags, backendSNZI, backendBravo} {
+	backends := []ReaderTracking{TrackFlags, TrackSNZI, TrackBravo}
+	modes := []uint64{uint64(TrackFlags), uint64(TrackSNZI), uint64(TrackBravo)}
+	for _, to := range backends {
+		for _, from := range backends {
 			if to != from {
 				modes = append(modes, transitionMode(to, from))
 			}
@@ -214,7 +215,7 @@ func TestStaticModesIgnoreModeWord(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ReaderHTMFirst = false
 	l, e, ar, col := testSetup(t, 2, htm.Config{}, opts)
-	e.Store(l.trackMode, backendSNZI) // must be ignored
+	e.Store(l.trackMode, uint64(TrackSNZI)) // must be ignored
 	data := ar.AllocLines(1)
 	h := l.NewHandle(0)
 	h.Read(0, func(acc memmodel.Accessor) { _ = acc.Load(data) })

@@ -18,9 +18,9 @@
 // finish δ cycles after the last active reader) — and the optimizations of
 // §3.4 (readers attempt HTM first, SNZI-based reader tracking, timed reader
 // waits) plus the §3.3 versioned-SGL anti-starvation scheme. Every feature
-// is individually switchable through Options, which is how the Fig. 5
-// ablation (NoSched / RWait / RSync / SpRWL) and the Fig. 6 SNZI study are
-// produced.
+// but the timed wait, which every evaluated variant uses, is individually
+// switchable through Options, which is how the Fig. 5 ablation (NoSched /
+// RWait / RSync / SpRWL) and the Fig. 6 SNZI study are produced.
 package core
 
 import (
@@ -83,24 +83,16 @@ type Options struct {
 	// DefaultAutoSNZIThreshold.
 	AutoSNZIThreshold uint64
 
-	// TimedReaderWait makes a reader waiting for a writer sleep on the
-	// timestamp counter until the writer's predicted end instead of
-	// spinning on the writer's state entry (§3.4).
-	TimedReaderWait bool
-
 	// VersionedSGL enables the §3.3 anti-starvation scheme: the fallback
 	// lock carries a version, and a reader stops deferring to fallback
 	// writers that acquired the lock after the reader started waiting.
 	VersionedSGL bool
 
-	// MaxRetries is the hardware attempt budget for writers before the
-	// fallback path activates; capacity aborts skip the budget and fall
-	// back immediately (§4). The paper uses 10.
+	// MaxRetries is the hardware attempt budget for writers, and for
+	// readers under ReaderHTMFirst, before the fallback path activates;
+	// capacity aborts skip the budget and fall back immediately (§4).
+	// The paper uses 10.
 	MaxRetries int
-
-	// ReaderRetries is the hardware attempt budget for readers when
-	// ReaderHTMFirst is enabled; capacity aborts fall back immediately.
-	ReaderRetries int
 }
 
 // ReaderTracking names a reader-tracking structure (package readers).
@@ -132,17 +124,17 @@ const (
 )
 
 // DefaultOptions returns the full SpRWL configuration the paper evaluates
-// under the name "SpRWL": both scheduling schemes, HTM-first readers, timed
-// waits, flag-array reader tracking, and a 10-attempt budget.
+// under the name "SpRWL": both scheduling schemes, HTM-first readers,
+// flag-array reader tracking, and a 10-attempt budget. The §3.4 timed
+// reader wait is not an option: readersWait always sleeps until the
+// awaited writer's predicted end before spinning on its state entry.
 func DefaultOptions() Options {
 	return Options{
-		ReaderSync:      true,
-		JoinWaiters:     true,
-		WriterSync:      true,
-		ReaderHTMFirst:  true,
-		TimedReaderWait: true,
-		MaxRetries:      10,
-		ReaderRetries:   10,
+		ReaderSync:     true,
+		JoinWaiters:    true,
+		WriterSync:     true,
+		ReaderHTMFirst: true,
+		MaxRetries:     10,
 	}
 }
 
@@ -239,10 +231,6 @@ type Lock struct {
 	// nonzero the self-tuning controller must not select the flag
 	// array, which cannot represent them.
 	dynReaders atomic.Int64
-
-	// fault is the test-only fault-point hook (see fault.go); nil in
-	// production, which costs one branch per fence point.
-	fault func(FaultPoint, int)
 }
 
 var _ rwlock.Lock = (*Lock)(nil)
@@ -296,9 +284,6 @@ func New(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pipe *
 	}
 	if opts.MaxRetries < 1 {
 		opts.MaxRetries = 1
-	}
-	if opts.ReaderRetries < 1 {
-		opts.ReaderRetries = 1
 	}
 	l := &Lock{
 		e:          e,
@@ -426,8 +411,8 @@ func (l *Lock) NewDynamicHandle() (rwlock.Handle, error) {
 		// under the transition lock so a controller switch in flight
 		// completes first.
 		l.adapt.mu.Lock()
-		if cur := trackTarget(l.e.Load(l.trackMode)); cur == backendFlags {
-			h.switchTracking(backendFlags, backendBravo)
+		if cur := trackTarget(l.e.Load(l.trackMode)); cur == TrackFlags {
+			h.switchTracking(TrackFlags, TrackBravo)
 		}
 		l.adapt.mu.Unlock()
 	}
@@ -465,10 +450,9 @@ type handle struct {
 	// pipeline is attached; all record methods are nil-safe).
 	ring *obs.Ring
 	// flaggedIn records which tracking structure this thread's active
-	// reader flag lives in (a backend* value), and flagToken the
-	// backend's Arrive token, so the unflag always retracts exactly
-	// what was published.
-	flaggedIn uint64
+	// reader flag lives in, and flagToken the backend's Arrive token, so
+	// the unflag always retracts exactly what was published.
+	flaggedIn ReaderTracking
 	flagToken uint64
 
 	// spanGLAt is the fallback-lock acquisition timestamp of the current

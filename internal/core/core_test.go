@@ -199,15 +199,16 @@ func TestFig1WriterAbortsOnActiveReader(t *testing.T) {
 
 // TestReaderSyncDefersToActiveWriter: with reader synchronization, a reader
 // arriving while a writer is advertised must wait until the writer's flag
-// clears (§3.2.1 fairness).
+// clears (§3.2.1 fairness), even after the writer's predicted end passes.
 func TestReaderSyncDefersToActiveWriter(t *testing.T) {
 	opts := RSyncOptions()
 	opts.ReaderHTMFirst = false
-	opts.TimedReaderWait = false
 	l, e, _, _ := testSetup(t, 3, htm.Config{}, opts)
 
-	// Simulate an active writer on slot 0.
-	e.Store(l.clockWAddr(0), e.Now()+1_000_000)
+	// Simulate an active writer on slot 0 whose predicted end is near:
+	// the reader's §3.4 timed wait ends long before the check below, so
+	// what holds it back there is the writer's state entry.
+	e.Store(l.clockWAddr(0), e.Now()+10_000)
 	e.Store(l.stateAddr(0), stateWriter)
 
 	entered := make(chan struct{})
@@ -244,14 +245,18 @@ func TestReaderSyncDefersToActiveWriter(t *testing.T) {
 func TestJoinWaiters(t *testing.T) {
 	opts := RSyncOptions()
 	opts.ReaderHTMFirst = false
-	opts.TimedReaderWait = false
 	l, e, _, _ := testSetup(t, 4, htm.Config{}, opts)
 
-	// Writer 0 active with a long predicted end; writer 1 active with a
-	// longer one. A lone reader would pick writer 1 (max clock); a
-	// joining reader must adopt the first waiter's choice instead.
-	e.Store(l.clockWAddr(0), e.Now()+1_000_000_000)
+	// Writer 0 active with a near predicted end; writer 1 active with a
+	// later one. A lone reader would pick writer 1 (max clock); a
+	// joining reader must adopt the first waiter's choice instead. Both
+	// ends are near so the reader's §3.4 timed wait is short and it
+	// enters as soon as writer 0's flag clears.
+	now := e.Now()
+	e.Store(l.clockWAddr(0), now+10_000)
 	e.Store(l.stateAddr(0), stateWriter)
+	e.Store(l.clockWAddr(1), now+20_000)
+	e.Store(l.stateAddr(1), stateWriter)
 	// Reader 2 is already waiting for writer 0.
 	e.Store(l.waitingForAddr(2), 1)
 
@@ -429,7 +434,7 @@ func TestEstimatorLearnsDurations(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Write(3, func(acc memmodel.Accessor) { acc.Store(data, uint64(i)) })
 	}
-	if _, ok := l.Estimator().Duration(3); !ok {
+	if _, ok := l.est.Duration(3); !ok {
 		t.Fatal("estimator has no sample for cs 3 after sampling-thread executions")
 	}
 }

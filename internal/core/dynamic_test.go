@@ -35,14 +35,14 @@ func TestDynamicHandleEvictsFlagTracking(t *testing.T) {
 	l, e, ar, _ := testSetup(t, 2, htm.Config{}, opts)
 	data := ar.AllocLines(1)
 
-	if got := trackTarget(e.Load(l.trackMode)); got != backendFlags {
+	if got := trackTarget(e.Load(l.trackMode)); got != TrackFlags {
 		t.Fatalf("initial tracking = %d, want flags", got)
 	}
 	h, err := l.NewDynamicHandle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trackTarget(e.Load(l.trackMode)); got != backendBravo {
+	if got := trackTarget(e.Load(l.trackMode)); got != TrackBravo {
 		t.Fatalf("tracking after NewDynamicHandle = %d, want BRAVO", got)
 	}
 
@@ -53,7 +53,7 @@ func TestDynamicHandleEvictsFlagTracking(t *testing.T) {
 	for i := 0; i < 8*adaptEvery; i++ {
 		sh.Read(0, func(acc memmodel.Accessor) { _ = acc.Load(data) })
 	}
-	if got := trackTarget(e.Load(l.trackMode)); got == backendFlags {
+	if got := trackTarget(e.Load(l.trackMode)); got == TrackFlags {
 		t.Fatal("controller demoted to the flag array while a dynamic reader exists")
 	}
 	_ = h

@@ -39,7 +39,6 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 	}
 
 	h.flagReaderAndSyncGL(csID)
-	h.atFault(FaultReaderFlagged)
 
 	bodyStart := l.e.Now()
 	body(l.e)
@@ -67,7 +66,7 @@ func (h *handle) readTryHTM(csID int, start uint64, body rwlock.Body) bool {
 	l := h.l
 	h.txBody = body
 	committed := false
-	for attempts := 0; attempts < l.opts.ReaderRetries; {
+	for attempts := 0; attempts < l.opts.MaxRetries; {
 		if l.gl.IsLocked() {
 			// The fallback path is active; the uninstrumented path
 			// knows how to synchronize with it.
@@ -124,12 +123,10 @@ func (h *handle) readersWait(csID int) {
 		// the waitingFor array is per-slot.
 		l.e.Store(l.waitingForAddr(h.slot), uint64(wait+1))
 	}
-	if l.opts.TimedReaderWait {
-		// §3.4: sleep on the timestamp counter until the writer's
-		// predicted end instead of hammering its state line.
-		if t := l.e.Load(l.clockWAddr(wait)); t > l.e.Now() {
-			l.e.WaitUntil(t)
-		}
+	// §3.4: sleep on the timestamp counter until the writer's predicted
+	// end instead of hammering its state line.
+	if t := l.e.Load(l.clockWAddr(wait)); t > l.e.Now() {
+		l.e.WaitUntil(t)
 	}
 	// Spin-then-park on the writer's state word; the writer's retirement
 	// store in finishWrite is followed by the wake. The writer's

@@ -80,7 +80,6 @@ func (h *handle) writeFallback(csID int, start uint64, body rwlock.Body) {
 	l := h.l
 	h.lockGL(csID)
 	glAcquired := l.e.Now()
-	h.atFault(FaultWriterAdvertised)
 	h.waitForReaders(csID)
 	bodyStart := l.e.Now()
 	body(l.e)
@@ -116,15 +115,35 @@ func (h *handle) finishWrite(csID int, start uint64, mode env.CommitMode) {
 // which is the footprint trade-off Fig. 6 measures.
 func (h *handle) checkForReaders(tx env.TxAccessor) {
 	l := h.l
-	switch l.opts.ReaderTracking {
-	case TrackAuto:
-		h.checkForReadersAdaptive(tx)
-	case TrackBravo:
-		h.checkBravo(tx)
+	if l.opts.ReaderTracking != TrackAuto {
+		h.checkBackend(tx, l.opts.ReaderTracking)
+		return
+	}
+	// TrackAuto: read the mode (one stable line in the read set) and
+	// check the structure(s) it covers.
+	m := tx.Load(l.trackMode)
+	h.checkBackend(tx, trackTarget(m))
+	if d, ok := drainingBackend(m); ok {
+		// Transition: readers may still be flagged in the structure
+		// being drained.
+		h.checkBackend(tx, d)
+	}
+}
+
+// checkBackend aborts the writer if structure s holds an active reader.
+func (h *handle) checkBackend(tx env.TxAccessor, s ReaderTracking) {
+	l := h.l
+	var active bool
+	switch s {
 	case TrackSNZI:
-		h.checkIndicator(tx)
+		active = l.indSNZI.Check(tx, -1)
+	case TrackBravo:
+		active = l.indBravo.Check(tx, -1)
 	default:
-		h.checkFlagArray(tx)
+		active = l.indFlags.Check(tx, h.slot)
+	}
+	if active {
+		tx.Abort(env.AbortReader)
 	}
 }
 
@@ -212,19 +231,14 @@ func (h *handle) waitForReaders(csID int) {
 		l.indBravo.Revoke()
 		h.ring.Readers(obs.ReadersRevoked, csID, l.e.Now())
 	}
-	switch l.opts.ReaderTracking {
-	case TrackAuto:
+	if l.opts.ReaderTracking == TrackAuto {
 		// Adaptive mode: readers may be flagged in any structure (a
 		// tracking transition can be mid-flight).
 		l.indSNZI.Drain(l.e)
 		l.indBravo.Drain(l.e)
 		l.indFlags.Drain(l.e)
-	case TrackBravo:
-		l.indBravo.Drain(l.e)
-	case TrackSNZI:
-		l.indSNZI.Drain(l.e)
-	default:
-		l.indFlags.Drain(l.e)
+	} else {
+		l.drainBackend(l.opts.ReaderTracking)
 	}
 	h.ring.Wait(obs.WaitDrain, obs.Writer, csID, drainStart, l.e.Now())
 }
@@ -241,10 +255,3 @@ func (h *handle) restoreReaderBias() {
 }
 
 var _ rwlock.Handle = (*handle)(nil)
-
-// Estimator exposes the duration estimator, for tests and diagnostics.
-func (l *Lock) Estimator() interface {
-	Duration(cs int) (uint64, bool)
-} {
-	return l.est
-}

@@ -52,6 +52,13 @@ func LockWords(threads int) int {
 	return 3*core.Words(threads) + 64*memmodel.LineWords*(threads+4)
 }
 
+// bravoSlots pins the BRAVO table size of the SpRWL-Bravo and SpRWL-Auto
+// builds. Left to GOMAXPROCS the table size, and with it every simulated
+// access sequence that scans or hashes into it, would depend on the host;
+// 4 is readers.DefaultBravoSlots at GOMAXPROCS <= 2, the size the recorded
+// baseline was measured with.
+const bravoSlots = 4
+
 // BuildLock constructs the named algorithm over e, carving lock state from
 // ar. numCS sizes the duration estimator for SpRWL variants. pipe is the
 // observability pipeline the lock reports through; nil disables
@@ -63,7 +70,9 @@ func BuildLock(name string, e env.Env, ar *memmodel.Arena, threads, numCS int, p
 	case AlgoSpRWLSNZI:
 		return core.New(e, ar, threads, numCS, core.SNZIOptions(), pipe)
 	case AlgoSpRWLBravo:
-		return core.New(e, ar, threads, numCS, core.BravoOptions(), pipe)
+		opts := core.BravoOptions()
+		opts.BravoSlots = bravoSlots
+		return core.New(e, ar, threads, numCS, opts, pipe)
 	case AlgoSpRWLNoSched:
 		return core.New(e, ar, threads, numCS, core.NoSchedOptions(), pipe)
 	case AlgoSpRWLRWait:
@@ -75,7 +84,9 @@ func BuildLock(name string, e env.Env, ar *memmodel.Arena, threads, numCS int, p
 		opts.VersionedSGL = true
 		return core.New(e, ar, threads, numCS, opts, pipe)
 	case AlgoSpRWLAuto:
-		return core.New(e, ar, threads, numCS, core.AutoSNZIOptions(), pipe)
+		opts := core.AutoSNZIOptions()
+		opts.BravoSlots = bravoSlots
+		return core.New(e, ar, threads, numCS, opts, pipe)
 	case AlgoTLE:
 		return tle.New(e, ar, 0, pipe), nil
 	case AlgoRWLE:

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,6 +27,35 @@ func TestBuildLockKnowsEveryAlgorithm(t *testing.T) {
 		if l.Name() == "" {
 			t.Errorf("BuildLock(%q): empty Name", name)
 		}
+	}
+}
+
+// TestSimulatedPointIgnoresGOMAXPROCS: a simulated point is a function of
+// its configuration and seed alone. SpRWL-Auto's BRAVO table once took its
+// size from GOMAXPROCS, which moved the quick extauto points with the host's
+// CPU count; run the most sensitive one (32 threads, 128 lookups) at two
+// GOMAXPROCS values and require identical results.
+func TestSimulatedPointIgnoresGOMAXPROCS(t *testing.T) {
+	opts := RunOpts{Quick: true, Seed: 1}
+	wl := hashmapFor(htm.Power8())
+	wl.LookupsPerRead = 128
+	wl.UpdatePercent = 50
+	cfg := HashmapPointConfig{
+		Algo: AlgoSpRWLAuto, Threads: 32, Profile: htm.Power8(),
+		Workload: wl, Horizon: opts.horizon(), Seed: opts.Seed,
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var pts []Point
+	for _, procs := range []int{2, 16} {
+		runtime.GOMAXPROCS(procs)
+		pt, err := RunHashmapPoint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, pt)
+	}
+	if !reflect.DeepEqual(pts[0], pts[1]) {
+		t.Fatalf("point differs between GOMAXPROCS 2 and 16:\n%+v\n%+v", pts[0], pts[1])
 	}
 }
 

@@ -15,11 +15,11 @@
 //
 //   - Multi-process crash harness (shm.go, mp.go): the test binary re-execs
 //     itself as worker processes sharing a file-backed mmap arena holding a
-//     locks.SpinMutex-guarded counter protocol. The parent SIGKILLs workers
-//     at the named fence points of core.FaultPoints — after a reader's
-//     flag-raise, after a writer's lock advertisement — and verifies that
-//     the survivors recover the lock, drain, and keep the counter oracle
-//     consistent. This is the only tier that tests death, which no
+//     locks.SpinMutex-guarded counter protocol with the fence structure of
+//     SpRWL's fallback path. The parent SIGKILLs workers at named fence
+//     points (CrashPoints) — after a reader's flag-raise, after a writer's
+//     lock advertisement, mid-body — and verifies that the survivors
+//     recover the lock, drain, and keep the counter oracle consistent. This is the only tier that tests death, which no
 //     in-process fault can simulate: a killed process's registered state
 //     stays behind with no deferred cleanup.
 //

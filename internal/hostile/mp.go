@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"sprwl/internal/core"
 	"sprwl/internal/env"
 	"sprwl/internal/locks"
 	"sprwl/internal/memmodel"
@@ -19,22 +18,21 @@ import (
 // of its fence points. Workers never block on a primitive that a dead
 // process could hold: every wait loop polls deadness and runs recovery.
 //
-// Crash points reuse the core.FaultPoints catalogue (reader-flagged,
-// writer-advertised) plus one mp-only point, writer-mid-body, between the
-// journal publish and the counter store — the window that forces the
-// journal roll-forward path.
+// Crash points name the protocol's fence windows: reader-flagged (after a
+// reader raises its flag, before its body — the dead-reader revocation
+// case, BRAVO arXiv 1810.01553), writer-advertised (after a writer takes
+// the lock, before it drains readers — the ownerless-lock case) and
+// writer-mid-body, between the journal publish and the counter store — the
+// window that forces the journal roll-forward path.
+const (
+	CrashReaderFlagged    = "reader-flagged"
+	CrashWriterAdvertised = "writer-advertised"
+	CrashWriterMidBody    = "writer-mid-body"
+)
 
-// CrashWriterMidBody is the mp-only crash point name.
-const CrashWriterMidBody = "writer-mid-body"
-
-// CrashPoints returns every crash point the harness can inject: the shared
-// core catalogue plus the journal window.
+// CrashPoints returns every crash point the harness can inject.
 func CrashPoints() []string {
-	pts := make([]string, 0, 3)
-	for _, p := range core.FaultPoints() {
-		pts = append(pts, p.String())
-	}
-	return append(pts, CrashWriterMidBody)
+	return []string{CrashReaderFlagged, CrashWriterAdvertised, CrashWriterMidBody}
 }
 
 // Arena layout, in lines of memmodel.LineWords words. Word addresses.
@@ -196,7 +194,7 @@ func (w *MPWorker) write(e env.Env, seq, delta uint64, crashHere bool) error {
 	defer w.lk.Unlock()
 	e.Store(w.addr(mpOwner), uint64(w.ID+1))
 
-	if crashHere && w.CrashPoint == core.FaultWriterAdvertised.String() {
+	if crashHere && w.CrashPoint == CrashWriterAdvertised {
 		w.crashPark(e) // lock held, owner advertised, readers undrained
 	}
 
@@ -246,7 +244,7 @@ func (w *MPWorker) write(e env.Env, seq, delta uint64, crashHere bool) error {
 func (w *MPWorker) read(e env.Env, crashHere bool) error {
 	for {
 		e.Store(w.mine(wFlag), 1) // flag first...
-		if crashHere && w.CrashPoint == core.FaultReaderFlagged.String() {
+		if crashHere && w.CrashPoint == CrashReaderFlagged {
 			w.crashPark(e) // flag raised, body not entered
 		}
 		if !w.lk.IsLocked() { // ...then check (pairs with lock-then-drain)

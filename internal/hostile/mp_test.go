@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"sprwl/internal/core"
 	"sprwl/internal/memmodel"
 )
 
@@ -60,7 +59,7 @@ func TestMPWorkerProcess(t *testing.T) {
 
 // mpRound is one crash-injection round's scripted parameters.
 type mpRound struct {
-	point   string // crash point name (core catalogue or writer-mid-body)
+	point   string // crash point name (one of CrashPoints)
 	seed    int64
 	victim  int
 	crashOp int // victim plan index at whose fence the SIGKILL lands
@@ -120,7 +119,7 @@ func TestMPCrashInjection(t *testing.T) {
 			seed:   int64(1000 + r),
 			victim: r % workers,
 		}
-		wantWrite := round.point != core.FaultReaderFlagged.String()
+		wantWrite := round.point != CrashReaderFlagged
 		round.crashOp = pickCrashOp(MPPlan(round.seed, round.victim, ops), wantWrite)
 		if round.crashOp < 0 {
 			t.Fatalf("round %d: plan has no qualifying op", r)

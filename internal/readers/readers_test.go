@@ -106,9 +106,6 @@ func TestFlagsSkipsWriterSlot(t *testing.T) {
 		t.Fatal("Check missed a reader in a non-skipped slot")
 	}
 	f.Depart(tok)
-	if f.Dynamic() {
-		t.Fatal("Flags must not report Dynamic")
-	}
 }
 
 // TestBravoCollisionFallback: once every probed slot is taken, further

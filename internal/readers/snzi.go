@@ -4,9 +4,9 @@ import "sprwl/internal/snzi"
 
 // SNZI adapts a Scalable NonZero Indicator (package snzi) to the Indicator
 // contract. Every tree update is a CAS, so arbitrary concurrent hints are
-// safe and the backend is Dynamic; the hint only selects which leaf absorbs
-// the arrival. The token is the hint itself: Depart must walk up from the
-// same leaf Arrive charged.
+// safe and the backend is dynamic-safe; the hint only selects which leaf
+// absorbs the arrival. The token is the hint itself: Depart must walk up
+// from the same leaf Arrive charged.
 type SNZI struct {
 	z *snzi.SNZI
 }
@@ -48,6 +48,3 @@ func (s SNZI) Drain(y Yielder) {
 		y.Yield()
 	}
 }
-
-// Dynamic implements Indicator.
-func (s SNZI) Dynamic() bool { return true }
