@@ -26,10 +26,16 @@ var backendAxis = []struct {
 	{"auto", func(o *core.Options) { o.ReaderTracking = core.TrackAuto; o.AutoSNZIThreshold = 4096 }},
 }
 
+// retryAxis enumerates hardware attempt budgets. MaxRetries bounds both
+// writers and HTM-first readers, so a budget of 1 sends both to their
+// fallback paths after a single abort and makes SGL writers meet waiting
+// readers more often than the budget of 4 does.
+var retryAxis = []int{4, 1}
+
 // validOptionCombos enumerates every semantically valid Options value over
-// the boolean axes: JoinWaiters is a refinement of ReaderSync (meaningless
-// without the state-array scan), and the four tracking backends are
-// mutually exclusive by construction.
+// the boolean axes and the retry budgets: JoinWaiters is a refinement of
+// ReaderSync (meaningless without the state-array scan), and the four
+// tracking backends are mutually exclusive by construction.
 func validOptionCombos() []struct {
 	name string
 	opts core.Options
@@ -48,21 +54,23 @@ func validOptionCombos() []struct {
 				for _, htmFirst := range []bool{false, true} {
 					for _, vsgl := range []bool{false, true} {
 						for _, be := range backendAxis {
-							o := core.Options{
-								ReaderSync:     rs,
-								JoinWaiters:    jw,
-								WriterSync:     ws,
-								ReaderHTMFirst: htmFirst,
-								VersionedSGL:   vsgl,
-								MaxRetries:     4,
+							for _, retries := range retryAxis {
+								o := core.Options{
+									ReaderSync:     rs,
+									JoinWaiters:    jw,
+									WriterSync:     ws,
+									ReaderHTMFirst: htmFirst,
+									VersionedSGL:   vsgl,
+									MaxRetries:     retries,
+								}
+								be.apply(&o)
+								name := fmt.Sprintf("%s_rs=%t_jw=%t_ws=%t_htm=%t_vsgl=%t_mr=%d",
+									be.name, rs, jw, ws, htmFirst, vsgl, retries)
+								combos = append(combos, struct {
+									name string
+									opts core.Options
+								}{name, o})
 							}
-							be.apply(&o)
-							name := fmt.Sprintf("%s_rs=%t_jw=%t_ws=%t_htm=%t_vsgl=%t",
-								be.name, rs, jw, ws, htmFirst, vsgl)
-							combos = append(combos, struct {
-								name string
-								opts core.Options
-							}{name, o})
 						}
 					}
 				}
@@ -76,7 +84,7 @@ func validOptionCombos() []struct {
 // exclusion, reader isolation, exactly-once effects) over every valid
 // options combination with short rounds.
 func TestOptionsMatrix(t *testing.T) {
-	// One leak baseline over all 96 combos: cleanup runs after the last
+	// One leak baseline over all 192 combos: cleanup runs after the last
 	// sequential subtest, when any stranded waiter is unambiguous.
 	hostile.LeakCheck(t)
 	combos := validOptionCombos()
